@@ -521,6 +521,10 @@ def witness_search(
 def _catalog_groups(n: int) -> Iterator[GroupTable]:
     yield make_cyclic(n)
     for parts in _factorizations(n):
+        # one abelian group per invariant-factor chain d1 | d2 | ...; the
+        # other factorizations are isomorphic to one of these
+        if any(b % a for a, b in zip(parts, parts[1:])):
+            continue
         group = make_cyclic(parts[0])
         for p in parts[1:]:
             group = make_direct_product(group, make_cyclic(p))

@@ -1,9 +1,13 @@
 """Finite groups as indexed element tables, plus coset enumeration.
 
-Elements of a group are dense indices ``0 .. order-1``.  Groups up to
-:data:`TABLE_LIMIT` elements carry a full multiplication table (O(1) products);
-larger groups multiply through a family rule (permutation composition or
-normal-form rewriting) supplied by their constructor.
+Elements of a group are dense indices ``0 .. order-1``.  Each constructor
+supplies one product rule over index arrays (permutation composition,
+normal-form arithmetic, or componentwise for direct products).  Groups up to
+:data:`TABLE_LIMIT` (1024) elements tabulate it, 32 rows at a time, into a
+full multiplication table; larger groups multiply through the rule.
+Construction checks the identity and inverse laws on every element, and
+associativity on every triple up to order 64 and on 10^5 triples drawn with
+a fixed seed above it.
 
 Permutation products use the function-composition convention: ``p * q``
 applies ``q`` first, then ``p``.  With right cosets ``<s>x = {s^j x}`` this
@@ -29,15 +33,19 @@ from .errors import (
 TABLE_LIMIT = 1024
 CLOSURE_LIMIT = 10_000
 _ASSOC_EXHAUSTIVE_LIMIT = 64
-_ASSOC_SAMPLES = 10_000
+_ASSOC_SAMPLES = 100_000
+_CHUNK = 10_000
+_BLOCK_ROWS = 32
 
 
 class GroupTable:
     """A finite group on element indices ``0..order-1``.
 
     ``mul`` is total, ``identity`` is the index of the neutral element and
-    ``labels`` gives a distinct display string per element.  Instances are
-    immutable after construction and safe to share between threads.
+    ``labels`` gives a distinct display string per element.  A ``rule`` maps
+    index arrays (or ints) broadcast together to the indices of their
+    products.  Instances are immutable after construction and safe to share
+    between threads.
     """
 
     __slots__ = (
@@ -47,7 +55,7 @@ class GroupTable:
         "family_tag",
         "designated",
         "_table",
-        "_mul_fn",
+        "_rule",
         "_inv",
         "_label_index",
         "_order_cache",
@@ -58,40 +66,48 @@ class GroupTable:
         order: int,
         *,
         table: Optional[np.ndarray] = None,
-        mul_fn: Optional[Callable[[int, int], int]] = None,
+        rule: Optional[Callable] = None,
         inv: Optional[Sequence[int]] = None,
         identity: int = 0,
         labels: Sequence[str],
         family_tag: Optional[str] = None,
         designated: Optional[dict[str, int]] = None,
-        check: bool = True,
     ):
         if order < 1:
             raise InvalidParameterError("group order must be >= 1")
-        if table is None and mul_fn is None:
+        if table is None and rule is None:
             raise InvalidParameterError("need a multiplication table or rule")
+        if table is None and order <= TABLE_LIMIT:
+            table = _tabulate(order, rule)
+        if table is not None:
+            table = np.asarray(table)
+            if table.shape != (order, order) or table.min() < 0 or table.max() >= order:
+                raise InvalidParameterError("table must be order x order over 0..order-1")
         self.order = order
         self.identity = identity
         self.labels = tuple(labels)
         self.family_tag = family_tag
         self.designated = dict(designated or {})
         self._table = table
-        self._mul_fn = mul_fn
+        self._rule = None if table is not None else rule
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._order_cache: dict[int, int] = {}
         if inv is not None:
             self._inv = tuple(inv)
         else:
             self._inv = self._solve_inverses()
-        if check:
-            self._validate()
+        self._validate()
 
     # -- core operations ---------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
+        return int(self.products(a, b))
+
+    def products(self, a, b) -> np.ndarray:
+        """``mul`` over index arrays ``a`` and ``b`` broadcast together."""
         if self._table is not None:
-            return int(self._table[a, b])
-        return self._mul_fn(a, b)
+            return self._table[a, b]
+        return self._rule(a, b)
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -117,19 +133,12 @@ class GroupTable:
     # -- validation --------------------------------------------------------
 
     def _solve_inverses(self) -> tuple[int, ...]:
-        # O(n^2) scan; only used for table-backed groups. Rule-backed
-        # constructors pass inverses explicitly.
+        # Only table-backed groups; rule-backed constructors pass inverses.
         if self._table is None:
             raise InvalidParameterError("rule-backed groups must supply inverses")
-        e = self.identity
-        out = [-1] * self.order
-        for a in range(self.order):
-            row = self._table[a]
-            hits = np.nonzero(row == e)[0]
-            if len(hits) != 1:
-                raise InvalidParameterError(f"element {a} lacks a unique inverse")
-            out[a] = int(hits[0])
-        return tuple(out)
+        hits = self._table == self.identity
+        _require(hits.sum(axis=1) == 1, "element {} lacks a unique inverse")
+        return tuple(hits.argmax(axis=1).tolist())
 
     def _validate(self) -> None:
         n = self.order
@@ -138,25 +147,54 @@ class GroupTable:
             raise InvalidParameterError("label count must equal group order")
         if len(set(self.labels)) != n:
             raise InvalidParameterError("labels must be pairwise distinct")
-        for x in range(n):
-            if self.mul(e, x) != x or self.mul(x, e) != x:
-                raise InvalidParameterError(f"identity law fails at element {x}")
-            if self.mul(x, self.inv(x)) != e or self.mul(self.inv(x), x) != e:
-                raise InvalidParameterError(f"inverse law fails at element {x}")
-        # Associativity: exhaustive for small groups, sampled otherwise.
+        inv = np.asarray(self._inv)
+        if not 0 <= e < n or inv.shape != (n,) or not ((inv >= 0) & (inv < n)).all():
+            raise InvalidParameterError("identity and inverses must be element indices")
+        every = np.arange(n)
+        _require(
+            (self.products(e, every) == every) & (self.products(every, e) == every),
+            "identity law fails at element {}",
+        )
+        _require(
+            (self.products(every, inv) == e) & (self.products(inv, every) == e),
+            "inverse law fails at element {}",
+        )
+        # Associativity: exhaustive for small groups, sampled otherwise, in
+        # chunks of at most _CHUNK triples to bound the temporaries.
         if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
+            chunks = ((a, every[:, None], every[None, :]) for a in range(n))
         else:
+            # stdlib bytes: importing numpy.random would cost 6 MB of RSS
             rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_ASSOC_SAMPLES)
+            chunks = (
+                (np.frombuffer(rng.randbytes(12 * _CHUNK), np.uint32) % np.uint32(n))
+                .astype(np.intp).reshape(3, -1)
+                for _ in range(_ASSOC_SAMPLES // _CHUNK)
             )
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise InvalidParameterError(f"associativity fails at {(a, b, c)}")
+        for a, b, c in chunks:
+            left = self.products(self.products(a, b), c)
+            holds = left == self.products(a, self.products(b, c))
+            if not holds.all():
+                i = np.flatnonzero(~holds)[0]
+                triple = tuple(int(x.flat[i]) for x in np.broadcast_arrays(a, b, c))
+                raise InvalidParameterError(f"associativity fails at {triple}")
+
+
+def _tabulate(order: int, rule: Callable) -> np.ndarray:
+    """The full multiplication table of ``rule``, built in row blocks."""
+    table = np.empty((order, order), dtype=np.int32)
+    cols = np.arange(order)[None, :]
+    for start in range(0, order, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, order))[:, None]
+        table[start:start + _BLOCK_ROWS] = rule(rows, cols)
+    return table
+
+
+def _require(holds: np.ndarray, message: str) -> None:
+    """Raise with the first element index where ``holds`` is false."""
+    failed = np.flatnonzero(~holds)
+    if failed.size:
+        raise InvalidParameterError(message.format(int(failed[0])))
 
 
 @dataclass(frozen=True)
@@ -195,13 +233,6 @@ class Coset:
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """p * q: apply q first, then p."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
 
 
 def parity(p: tuple[int, ...]) -> int:
@@ -284,46 +315,66 @@ def parse_cycles(text: str, n: Optional[int] = None) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _group_from_permutations(
-    perms: list[tuple[int, ...]],
-    family_tag: Optional[str],
-    designated: Optional[dict[str, int]] = None,
-) -> GroupTable:
-    """Assemble a GroupTable from a closed, sorted list of permutations."""
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    labels = [cycle_notation(p) for p in perms]
-    identity = index[tuple(range(len(perms[0])))]
-    inv = [index[invert(p)] for p in perms]
-    if n <= TABLE_LIMIT:
-        table = np.empty((n, n), dtype=np.int32)
-        for i, p in enumerate(perms):
-            row = table[i]
-            for j, q in enumerate(perms):
-                row[j] = index[compose(p, q)]
-        return GroupTable(
-            n, table=table, inv=inv, identity=identity, labels=labels,
-            family_tag=family_tag, designated=designated,
-        )
+def _group_from_permutations(perms: np.ndarray, family_tag: Optional[str]) -> GroupTable:
+    """Assemble a GroupTable from an ``(n, d)`` array of distinct permutations
+    (rows of images) in ascending lexicographic order, closed under
+    composition.
 
-    def mul_fn(a: int, b: int) -> int:
-        return index[compose(perms[a], perms[b])]
+    Products are found by ``searchsorted`` on a mixed-radix key over the
+    columns that decide the row order, so the keys ascend with the rows.
+    """
+    n, d = perms.shape
+    cols = _deciding_columns(perms)
+    if d ** len(cols) > np.iinfo(np.int64).max:
+        raise SizeLimitError(f"permutation keys on {d} points exceed 64 bits")
+    flat = perms.ravel()
 
+    def key(columns) -> np.ndarray:
+        total = np.zeros((), dtype=np.int64)
+        for column in columns:
+            total = total * d + column
+        return total
+
+    keys = key(perms[:, c] for c in cols)
+
+    def rule(a, b):
+        # (p*q)[c] = p[q[c]], read from p's row in the flattened array
+        base = np.multiply(a, d)
+        return np.searchsorted(keys, key(flat[base + perms[b, c]] for c in cols))
+
+    # argsort of a permutation's images is its inverse
+    inverses = np.searchsorted(keys, key(np.argsort(perms)[:, c] for c in cols))
+    identity = int(np.searchsorted(keys, key(cols)))
+    labels = [cycle_notation(p) for p in perms.tolist()]
     return GroupTable(
-        n, mul_fn=mul_fn, inv=inv, identity=identity, labels=labels,
-        family_tag=family_tag, designated=designated,
+        n, rule=rule, inv=inverses.tolist(), identity=identity, labels=labels,
+        family_tag=family_tag,
     )
+
+
+def _deciding_columns(perms: np.ndarray) -> list[int]:
+    """Columns that decide the order of sorted, distinct rows: column 0, and
+    each column that splits adjacent rows agreeing on every column before it.
+    On a group each kept column multiplies the number of distinct prefixes
+    (cosets of a point stabilizer), so at most log2(n) are kept.
+    """
+    cols: list[int] = []
+    split = np.zeros(len(perms) - 1, dtype=bool)
+    for c in range(perms.shape[1]):
+        now = split | (perms[1:, c] != perms[:-1, c])
+        if not cols or now.sum() > split.sum():
+            cols.append(c)
+        split = now
+    return cols
 
 
 def make_cyclic(n: int) -> GroupTable:
     """Z_n under addition mod n; element i is labelled str(i)."""
     if n < 1:
         raise InvalidParameterError("cyclic group order must be >= 1")
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    inv = [(-i) % n for i in range(n)]
     return GroupTable(
-        n, table=table.astype(np.int32), inv=inv, identity=0,
-        labels=[str(i) for i in range(n)], family_tag=f"Z{n}",
+        n, rule=lambda a, b: (a + b) % n, inv=[(-i) % n for i in range(n)],
+        identity=0, labels=[str(i) for i in range(n)], family_tag=f"Z{n}",
     )
 
 
@@ -336,9 +387,8 @@ def make_trivial() -> GroupTable:
 
 def make_klein() -> GroupTable:
     """The Klein four-group; mul is XOR on two bits, labels e,a,b,ab."""
-    table = np.array([[i ^ j for j in range(4)] for i in range(4)], dtype=np.int32)
     return GroupTable(
-        4, table=table, inv=[0, 1, 2, 3], identity=0,
+        4, rule=np.bitwise_xor, inv=[0, 1, 2, 3], identity=0,
         labels=["e", "a", "b", "ab"], family_tag="V4",
         designated={"a": 1, "b": 2, "ab": 3},
     )
@@ -358,25 +408,12 @@ def make_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     tag = None
     if g.family_tag and h.family_tag:
         tag = f"{g.family_tag}x{h.family_tag}"
-    if total <= TABLE_LIMIT:
-        table = np.empty((total, total), dtype=np.int32)
-        for a in range(total):
-            xa, ya = divmod(a, m)
-            for b in range(total):
-                xb, yb = divmod(b, m)
-                table[a, b] = g.mul(xa, xb) * m + h.mul(ya, yb)
-        return GroupTable(
-            total, table=table, inv=inv, identity=identity, labels=labels,
-            family_tag=tag,
-        )
 
-    def mul_fn(a: int, b: int) -> int:
-        xa, ya = divmod(a, m)
-        xb, yb = divmod(b, m)
-        return g.mul(xa, xb) * m + h.mul(ya, yb)
+    def rule(a, b):
+        return g.products(a // m, b // m) * m + h.products(a % m, b % m)
 
     return GroupTable(
-        total, mul_fn=mul_fn, inv=inv, identity=identity, labels=labels,
+        total, rule=rule, inv=inv, identity=identity, labels=labels,
         family_tag=tag,
     )
 
@@ -385,30 +422,30 @@ def make_symmetric(n: int) -> GroupTable:
     """S_n on {1..n} with cycle-notation labels; bounded at n <= 8."""
     if not 1 <= n <= 8:
         raise SizeLimitError("symmetric group supported for 1 <= n <= 8")
-    perms = [tuple(p) for p in _iter_permutations(range(n))]
-    return _group_from_permutations(perms, family_tag=f"S{n}")
+    perms = list(_iter_permutations(range(n)))
+    return _group_from_permutations(np.array(perms, dtype=np.uint8), f"S{n}")
 
 
 def make_alternating(n: int) -> GroupTable:
     """A_n, the even permutations of {1..n}; bounded at n <= 8."""
     if not 1 <= n <= 8:
         raise SizeLimitError("alternating group supported for 1 <= n <= 8")
-    perms = [tuple(p) for p in _iter_permutations(range(n)) if parity(tuple(p)) == 0]
-    return _group_from_permutations(perms, family_tag=f"A{n}")
+    perms = [p for p in _iter_permutations(range(n)) if parity(p) == 0]
+    return _group_from_permutations(np.array(perms, dtype=np.uint8), f"A{n}")
 
 
 def _normal_form_group(
     na: int,
-    rule: Callable[[int, int, int, int], tuple[int, int]],
-    inv_rule: Callable[[int, int], tuple[int, int]],
+    twist: int,
+    square: int,
     gen_a_label: str,
     gen_b_label: str,
     family_tag: str,
 ) -> GroupTable:
     """Group on normal forms a^i b^j (0 <= i < na, j in {0,1}).
 
-    Index = i + na*j.  ``rule`` multiplies two normal forms, ``inv_rule``
-    inverts one.
+    Index = i + na*j.  The relations are a^na = e, b a = a^twist b and
+    b^2 = a^square, with twist^2 = 1 mod na.
     """
     total = 2 * na
     if total > CLOSURE_LIMIT:
@@ -420,30 +457,19 @@ def _normal_form_group(
         return (ai + bj) or "e"
 
     labels = [label(i, j) for j in (0, 1) for i in range(na)]
-    inv = []
-    for j in (0, 1):
-        for i in range(na):
-            i2, j2 = inv_rule(i, j)
-            inv.append(i2 + na * j2)
+    # (a^i b)^-1 = a^(-twist*(i+square)) b, since twist^2 = 1
+    inv = [(-i) % na for i in range(na)]
+    inv += [(-twist * (i + square)) % na + na for i in range(na)]
     designated = {gen_a_label: 1, gen_b_label: na}
 
-    def mul_fn(x: int, y: int) -> int:
+    def rule(x, y):
         i1, j1 = x % na, x // na
         i2, j2 = y % na, y // na
-        i3, j3 = rule(i1, j1, i2, j2)
-        return i3 + na * j3
+        i3 = (i1 + (1 + j1 * (twist - 1)) * i2 + square * j1 * j2) % na
+        return i3 + na * ((j1 + j2) % 2)
 
-    if total <= TABLE_LIMIT:
-        table = np.empty((total, total), dtype=np.int32)
-        for x in range(total):
-            for y in range(total):
-                table[x, y] = mul_fn(x, y)
-        return GroupTable(
-            total, table=table, inv=inv, identity=0, labels=labels,
-            family_tag=family_tag, designated=designated,
-        )
     return GroupTable(
-        total, mul_fn=mul_fn, inv=inv, identity=0, labels=labels,
+        total, rule=rule, inv=inv, identity=0, labels=labels,
         family_tag=family_tag, designated=designated,
     )
 
@@ -456,16 +482,7 @@ def make_dihedral(n: int) -> GroupTable:
     """
     if n < 2:
         raise InvalidParameterError("dihedral parameter must be >= 2")
-
-    def rule(i1, j1, i2, j2):
-        if j1 == 0:
-            return (i1 + i2) % n, j2
-        return (i1 - i2) % n, (j1 + j2) % 2
-
-    def inv_rule(i, j):
-        return (i if j else (-i) % n), j
-
-    g = _normal_form_group(n, rule, inv_rule, "r", "s", f"D{2 * n}")
+    g = _normal_form_group(n, -1, 0, "r", "s", f"D{2 * n}")
     g.designated["t"] = g.mul(g.designated["r"], g.designated["s"])
     return g
 
@@ -474,44 +491,14 @@ def make_generalized_quaternion(n: int) -> GroupTable:
     """Order-4n group <a, b | a^2n = e, b^2 = a^n, a b = b a^(2n-1)>."""
     if n < 2:
         raise InvalidParameterError("generalized quaternion parameter must be >= 2")
-    m = 2 * n
-
-    def rule(i1, j1, i2, j2):
-        if j1 == 0:
-            return (i1 + i2) % m, j2
-        # b a^i = a^-i b, and b^2 = a^n
-        i = (i1 - i2) % m
-        if j2 == 0:
-            return i, 1
-        return (i + n) % m, 0
-
-    def inv_rule(i, j):
-        if j == 0:
-            return (-i) % m, 0
-        return (i + n) % m, 1
-
-    return _normal_form_group(m, rule, inv_rule, "a", "b", f"Q{4 * n}")
+    return _normal_form_group(2 * n, -1, n, "a", "b", f"Q{4 * n}")
 
 
 def make_semidihedral(k: int) -> GroupTable:
     """Order-8k group <a, b | a^4k = b^2 = e, b a = a^(2k-1) b>."""
     if k < 1:
         raise InvalidParameterError("semidihedral parameter must be >= 1")
-    m = 4 * k
-    twist = 2 * k - 1
-
-    def rule(i1, j1, i2, j2):
-        if j1 == 0:
-            return (i1 + i2) % m, j2
-        return (i1 + twist * i2) % m, (j1 + j2) % 2
-
-    # (a^i b)^-1 = a^(-twist*i) b since twist^2 = 1 mod 4k
-    def inv_rule(i, j):
-        if j == 0:
-            return (-i) % m, 0
-        return (-twist * i) % m, 1
-
-    return _normal_form_group(m, rule, inv_rule, "a", "b", f"SD{8 * k}")
+    return _normal_form_group(4 * k, 2 * k - 1, 0, "a", "b", f"SD{8 * k}")
 
 
 def closure_from_permutations(
@@ -538,6 +525,8 @@ def closure_from_permutations(
     width = len(raw[0])
     if any(len(p) != width for p in raw):
         raise InvalidParameterError("permutations act on different ground sets")
+    if any(sorted(p) != list(range(width)) for p in raw):
+        raise InvalidParameterError("generators must be permutations of 0..n-1")
     seen = {tuple(range(width))}
     frontier = [tuple(range(width))]
     gens_t = [tuple(p) for p in raw]
@@ -554,7 +543,7 @@ def closure_from_permutations(
                             f"closure exceeds {CLOSURE_LIMIT} elements"
                         )
         frontier = nxt
-    perms = sorted(seen)
+    perms = np.array(sorted(seen), dtype=np.min_scalar_type(width - 1))
     return _group_from_permutations(perms, family_tag=family_tag)
 
 
@@ -606,66 +595,69 @@ def subgroup_closure(
     The closure is naturally bounded by |G|; pass ``cap`` to fail early when
     a quadratic structure is about to be built from the result.
     """
-    gens = set(elements) | {g.inv(x) for x in elements}
-    seen = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = g.mul(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if cap is not None and len(seen) > cap:
-                        raise ClosureOverflowError(
-                            f"subgroup closure exceeds {cap} elements"
-                        )
-        frontier = nxt
-    return sorted(seen)
+    gens = np.array(sorted({*elements, *map(g.inv, elements)}), dtype=np.intp)
+    seen = np.zeros(g.order, dtype=bool)
+    seen[g.identity] = True
+    size = 1
+    # slot[x]: a position of x in the candidate list, to drop repeats
+    slot = np.zeros(g.order, dtype=np.intp)
+    frontier = np.array([g.identity])
+    while frontier.size:
+        reached = g.products(gens[:, None], frontier[None, :]).ravel()
+        fresh = reached[~seen[reached]]
+        slot[fresh] = np.arange(fresh.size)
+        frontier = fresh[slot[fresh] == np.arange(fresh.size)]
+        seen[frontier] = True
+        size += frontier.size
+        if cap is not None and size > cap:
+            raise ClosureOverflowError(f"subgroup closure exceeds {cap} elements")
+    return np.flatnonzero(seen).tolist()
 
 
 def subgroup_table(g: GroupTable, elements: Sequence[int]) -> tuple[GroupTable, dict[int, int]]:
     """GroupTable of the subgroup generated by ``elements``.
 
     Returns the subgroup (re-indexed densely) together with the map from
-    parent element index to subgroup index.  Capped because the result
-    carries a full multiplication table.
+    parent element index to subgroup index.  Capped at :data:`CLOSURE_LIMIT`
+    elements like every other constructor.
     """
-    members = subgroup_closure(g, elements, cap=CLOSURE_LIMIT)
-    to_sub = {x: i for i, x in enumerate(members)}
-    n = len(members)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            table[i, j] = to_sub[g.mul(a, b)]
+    members = np.array(subgroup_closure(g, elements, cap=CLOSURE_LIMIT))
+    to_sub = np.full(g.order, -1, dtype=np.intp)
+    to_sub[members] = np.arange(len(members))
+
+    def rule(a, b):
+        return to_sub[g.products(members[a], members[b])]
+
     sub = GroupTable(
-        n,
-        table=table,
-        inv=[to_sub[g.inv(x)] for x in members],
-        identity=to_sub[g.identity],
+        len(members),
+        rule=rule,
+        inv=to_sub[[g.inv(x) for x in members]].tolist(),
+        identity=int(to_sub[g.identity]),
         labels=[g.labels[x] for x in members],
         family_tag=None,
     )
-    return sub, to_sub
+    return sub, {x: i for i, x in enumerate(members.tolist())}
 
 
 def right_cosets(g: GroupTable, s: int, gen_position: int = 0) -> list[Coset]:
     """All right cosets <s>x, ordered by their minimum element index.
 
     The cosets partition the group; there are exactly |G|/o(s) of them, each
-    of size o(s).
+    of size o(s).  The coset of x is the orbit x, sx, s^2 x, ... of left
+    multiplication by s.
     """
-    o = element_order(g, s)
-    powers = [g.identity]
-    for _ in range(o - 1):
-        powers.append(g.mul(powers[-1], s))
+    left = g.products(s, np.arange(g.order)).tolist()
     seen = [False] * g.order
     out = []
     for x in range(g.order):
         if seen[x]:
             continue
-        members = sorted(g.mul(p, x) for p in powers)
+        members = [x]
+        y = left[x]
+        while y != x:
+            members.append(y)
+            y = left[y]
+        members.sort()
         for m in members:
             seen[m] = True
         out.append(Coset(gen_position, tuple(members)))
@@ -674,13 +666,15 @@ def right_cosets(g: GroupTable, s: int, gen_position: int = 0) -> list[Coset]:
 
 def conjugacy_classes(g: GroupTable) -> list[list[int]]:
     """Conjugacy classes, each sorted, ordered by their minimum element."""
-    seen = [False] * g.order
+    every = np.arange(g.order)
+    inverses = np.array(g._inv)
+    seen = np.zeros(g.order, dtype=bool)
     classes = []
     for x in range(g.order):
         if seen[x]:
             continue
-        orbit = {g.mul(t, g.mul(x, g.inv(t))) for t in range(g.order)}
-        for y in orbit:
-            seen[y] = True
-        classes.append(sorted(orbit))
+        members = np.zeros(g.order, dtype=bool)
+        members[g.products(g.products(every, x), inverses)] = True
+        seen |= members
+        classes.append(np.flatnonzero(members).tolist())
     return classes

@@ -53,13 +53,18 @@ class GraphDocument:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GraphDocument":
+    def from_dict(cls, data) -> "GraphDocument":
+        if not isinstance(data, dict):
+            raise InvalidInputError("a graph document must be a JSON object")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise InvalidInputError(
                 f"unsupported schema version {data.get('schema_version')!r}"
             )
         if data.get("kind") not in ("ggraph", "plain", "ball"):
             raise InvalidInputError(f"unknown document kind {data.get('kind')!r}")
+        for key in ("partitions", "edges"):
+            if not isinstance(data.get(key), list):
+                raise InvalidInputError(f"document field {key!r} must be a list")
         doc = cls(
             kind=data["kind"],
             partitions=data["partitions"],
@@ -70,13 +75,24 @@ class GraphDocument:
         return doc
 
     def _validate(self) -> None:
-        ids = [v["id"] for part in self.partitions for v in part["vertices"]]
+        ids = []
+        for part in self.partitions:
+            if not isinstance(part, dict) or not isinstance(part.get("vertices"), list):
+                raise InvalidInputError("every partition needs a 'vertices' list")
+            for vertex in part["vertices"]:
+                ids.append(_int_field(vertex, "id"))
+                labels = vertex.get("coset_labels")
+                if labels is not None and not (
+                    isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+                ):
+                    raise InvalidInputError(f"bad coset labels in vertex {ids[-1]}")
         if sorted(ids) != list(range(len(ids))):
             raise InvalidInputError("vertex ids must be dense from 0")
         for e in self.edges:
-            if not (0 <= e["u"] < e["v"] < len(ids)):
+            u, v, m = (_int_field(e, key) for key in ("u", "v", "multiplicity"))
+            if not (0 <= u < v < len(ids)):
                 raise InvalidInputError(f"bad edge record {e}")
-            if e["multiplicity"] < 1:
+            if m < 1:
                 raise InvalidInputError(f"bad multiplicity in {e}")
 
     def vertex_count(self) -> int:
@@ -94,6 +110,14 @@ class GraphDocument:
 
     def total_multiplicity(self) -> int:
         return sum(e["multiplicity"] for e in self.edges)
+
+
+def _int_field(record, key: str) -> int:
+    """``record[key]`` when record is an object and the value an int (not bool)."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if type(value) is not int:
+        raise InvalidInputError(f"{key!r} must be an integer in {record!r}")
+    return value
 
 
 def document_from_ggraph(

@@ -391,3 +391,16 @@ def test_witness_complete_graphs_via_trivial_group():
 def test_witness_none_for_refusals():
     verdict = characterize(icosahedron_graph())
     assert witness_search(verdict, icosahedron_graph()) is None
+
+
+def test_catalog_builds_each_abelian_group_once():
+    from ggraphs.characterize import _catalog_groups
+
+    def abelian(n):
+        return [g.family_tag for g in _catalog_groups(n) if g.family_tag.startswith("Z")]
+
+    assert abelian(12) == ["Z12", "Z2xZ6"]
+    assert abelian(60) == ["Z60", "Z2xZ30"]
+    assert abelian(9) == ["Z9", "Z3xZ3"]
+    # one per partition of 6 (the exponents of 2^6)
+    assert len(abelian(64)) == 11

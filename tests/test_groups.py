@@ -1,7 +1,11 @@
+from itertools import permutations
+
+import numpy as np
 import pytest
 
 from ggraphs import (
     ClosureOverflowError,
+    GroupTable,
     InvalidParameterError,
     NotAGeneratingSetError,
     SizeLimitError,
@@ -19,6 +23,7 @@ from ggraphs import (
     make_trivial,
     right_cosets,
 )
+from ggraphs.groups import compose, conjugacy_classes, cycle_notation, parse_cycles, parity
 
 
 def test_cyclic_basics():
@@ -230,3 +235,180 @@ def test_large_symmetric_group_is_rule_backed():
     y = s7.index_of_label("(1234567)")
     assert element_order(s7, y) == 7
     assert s7.mul(x, s7.inv(x)) == s7.identity
+
+
+# -- validation rejects what is not a group ----------------------------------
+
+# A loop of order 5: a Latin square with identity 0 in which every element
+# is its own inverse.  No group of order 5 has that, so it is not associative.
+_LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _corrupted_cyclic(n):
+    """Z_n's table with one product changed; the identity row and column, and
+    every product that equals the identity, are left intact."""
+    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    table[2, 3] = 6
+    return table
+
+
+@pytest.mark.parametrize(
+    "order, table, labels, message",
+    [
+        (5, _LOOP5, "01234", "associativity fails"),
+        # a Latin square with no identity: 0*x = x+1
+        (5, [[(a + b + 1) % 5 for b in range(5)] for a in range(5)], "01234",
+         "identity law fails"),
+        (4, [[a ^ b for b in range(4)] for a in range(4)], "eabb",
+         "labels must be pairwise distinct"),
+        # above the exhaustive bound, so only the seeded samples can see it
+        (72, _corrupted_cyclic(72), [str(i) for i in range(72)],
+         "associativity fails"),
+    ],
+    ids=["non-associative-loop", "no-identity", "duplicate-labels", "sampled-associativity"],
+)
+def test_validation_rejects(order, table, labels, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        GroupTable(order, table=np.array(table), labels=list(labels))
+
+
+def test_validation_accepts_the_uncorrupted_table():
+    n = 72
+    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    assert GroupTable(n, table=table, labels=[str(i) for i in range(n)]).inv(5) == 67
+
+
+# -- tables equal a scalar reference, bit for bit -----------------------------
+
+
+def _table(g):
+    every = np.arange(g.order)
+    return g.products(every[:, None], every[None, :]).tolist()
+
+
+def _check_permutation_group(g, perms):
+    """``perms`` sorted; reference products by compose in a loop."""
+    index = {p: i for i, p in enumerate(perms)}
+    assert _table(g) == [[index[compose(p, q)] for q in perms] for p in perms]
+    assert list(g.labels) == [cycle_notation(p) for p in perms]
+    assert g.identity == index[tuple(range(len(perms[0])))]
+    inverse = [index[tuple(int(i) for i in np.argsort(p))] for p in perms]
+    assert [g.inv(x) for x in range(g.order)] == inverse
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_table_matches_compose(n):
+    _check_permutation_group(make_symmetric(n), list(permutations(range(n))))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_alternating_table_matches_compose(n):
+    perms = [p for p in permutations(range(n)) if parity(p) == 0]
+    _check_permutation_group(make_alternating(n), perms)
+
+
+def test_closure_table_matches_compose():
+    g = closure_from_permutations(["(12)(34)", "(1 2 3)", "(5 6)"])
+    perms = sorted(parse_cycles(label, 6) for label in g.labels)
+    assert g.order == 24
+    _check_permutation_group(g, perms)
+
+
+def test_rule_backed_symmetric_matches_compose():
+    g = make_symmetric(7)
+    perms = list(permutations(range(7)))
+    rng = np.random.default_rng(3)
+    for a, b in rng.integers(0, g.order, (500, 2)).tolist():
+        assert perms[g.mul(a, b)] == compose(perms[a], perms[b])
+
+
+def _dihedral_rule(n):
+    def rule(i1, j1, i2, j2):
+        if j1 == 0:
+            return (i1 + i2) % n, j2
+        return (i1 - i2) % n, (j1 + j2) % 2
+    return n, rule
+
+
+def _quaternion_rule(n):
+    m = 2 * n
+
+    def rule(i1, j1, i2, j2):
+        if j1 == 0:
+            return (i1 + i2) % m, j2
+        i = (i1 - i2) % m
+        return (i, 1) if j2 == 0 else ((i + n) % m, 0)
+    return m, rule
+
+
+def _semidihedral_rule(k):
+    m, twist = 4 * k, 2 * k - 1
+
+    def rule(i1, j1, i2, j2):
+        if j1 == 0:
+            return (i1 + i2) % m, j2
+        return (i1 + twist * i2) % m, (j1 + j2) % 2
+    return m, rule
+
+
+@pytest.mark.parametrize(
+    "make, reference, param",
+    [(make_dihedral, _dihedral_rule, n) for n in (2, 3, 4, 5, 8)]
+    + [(make_generalized_quaternion, _quaternion_rule, n) for n in (2, 3, 4)]
+    + [(make_semidihedral, _semidihedral_rule, k) for k in (1, 2, 3)],
+)
+def test_normal_form_table_matches_presentation(make, reference, param):
+    g = make(param)
+    na, rule = reference(param)
+    expected = []
+    for x in range(2 * na):
+        row = []
+        for y in range(2 * na):
+            i3, j3 = rule(x % na, x // na, y % na, y // na)
+            row.append(i3 + na * j3)
+        expected.append(row)
+    assert _table(g) == expected
+    assert g.identity == 0
+    assert [expected[x][g.inv(x)] for x in range(g.order)] == [0] * g.order
+
+
+def test_direct_product_table_matches_componentwise():
+    g, h = make_symmetric(3), make_cyclic(4)
+    prod = make_direct_product(g, h)
+    m = h.order
+    expected = [
+        [g.mul(a // m, b // m) * m + h.mul(a % m, b % m) for b in range(prod.order)]
+        for a in range(prod.order)
+    ]
+    assert _table(prod) == expected
+    assert list(prod.labels) == [f"({x},{y})" for x in g.labels for y in h.labels]
+    assert [prod.inv(x) for x in range(prod.order)] == [
+        g.inv(x // m) * m + h.inv(x % m) for x in range(prod.order)
+    ]
+
+
+def _conjugacy_reference(g):
+    seen, classes = set(), []
+    for x in range(g.order):
+        if x not in seen:
+            orbit = {g.mul(t, g.mul(x, g.inv(t))) for t in range(g.order)}
+            seen |= orbit
+            classes.append(sorted(orbit))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "g",
+    [make_symmetric(4), make_alternating(5), make_dihedral(5),
+     make_generalized_quaternion(3), make_semidihedral(2),
+     make_direct_product(make_symmetric(3), make_cyclic(2))],
+    ids=repr,
+)
+def test_conjugacy_classes_match_scalar_reference(g):
+    assert conjugacy_classes(g) == _conjugacy_reference(g)

@@ -246,3 +246,54 @@ def test_shipped_fixture_files_match_generators(fixture, expected_n):
     loaded = read_edge_list(FIXDIR / f"{fixture}.edges")
     assert loaded.n == expected_n
     assert are_isomorphic(loaded, makers[fixture]())
+
+
+_ONE_EDGE = {
+    "schema_version": "1",
+    "kind": "plain",
+    "partitions": [{"vertices": [{"id": 0}, {"id": 1}]}],
+    "edges": [{"u": 0, "v": 1, "multiplicity": 1}],
+}
+
+
+def _with(path, value):
+    """_ONE_EDGE with the field at ``path`` (a tuple of keys) replaced."""
+    doc = json.loads(json.dumps(_ONE_EDGE))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema_version": "1", "kind": "plain"},
+        _with(("edges", 0, "multiplicity"), "2"),
+        _with(("edges", 0, "multiplicity"), True),
+        _with(("edges", 0, "u"), 0.0),
+        _with(("edges", 0), [0, 1, 1]),
+        _with(("edges",), {"u": 0}),
+        _with(("partitions",), "01"),
+        _with(("partitions", 0), [0, 1]),
+        _with(("partitions", 0, "vertices"), None),
+        _with(("partitions", 0, "vertices", 1), 1),
+        _with(("partitions", 0, "vertices", 1, "id"), True),
+        _with(("partitions", 0, "vertices", 1, "coset_labels"), [1, 2]),
+    ],
+)
+def test_cli_rejects_malformed_documents(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("analyze", "characterize"):
+        assert main([command, str(path)]) == 2
+    assert main(["export-dot", str(path), "--out", str(tmp_path / "x.dot")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_document_must_be_an_object():
+    for text in ("[1]", "3", '"plain"', "null"):
+        with pytest.raises(InvalidInputError):
+            loads(text)
+    assert loads(json.dumps(_ONE_EDGE)).to_multigraph().edge_multiplicity_total() == 1
