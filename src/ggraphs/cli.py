@@ -22,7 +22,12 @@ from pathlib import Path
 from . import io as gio
 from .analysis import structure_report
 from .characterize import ACCEPT, REFUSE, characterize
-from .errors import GGraphError, NotAGeneratingSetError
+from .errors import (
+    GGraphError,
+    InvalidMatrixError,
+    NotAGeneratingSetError,
+    SizeLimitError,
+)
 from .ggraph import build_ggraph, predicted_stats
 from .groups import (
     GroupTable,
@@ -152,7 +157,11 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_GENERATING
 
-    gg = build_ggraph(group, seq)
+    try:
+        gg = build_ggraph(group, seq)
+    except SizeLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     stats = predicted_stats(group, seq)
     mg = gg.to_multigraph()
     degrees = mg.weighted_degrees()
@@ -249,9 +258,13 @@ def cmd_characterize(args) -> int:
     return EXIT_REFUSE if verdict.status == REFUSE else EXIT_UNDETERMINED
 
 
-def cmd_spectrum(args) -> int:
-    from .errors import InvalidMatrixError
+def _fixed(value: float) -> str:
+    """Six decimals, with a value that rounds to zero printed unsigned."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
+
+def cmd_spectrum(args) -> int:
     try:
         mg = load_graph_input(args.input)
         try:
@@ -268,7 +281,7 @@ def cmd_spectrum(args) -> int:
     payload = {
         "dimension": report.dimension,
         "eigenvalues": [
-            {"value": f"{val:.6f}", "multiplicity": mult}
+            {"value": _fixed(val), "multiplicity": mult}
             for val, mult in report.eigenvalues
         ],
         "energy": f"{report.energy:.6f}",

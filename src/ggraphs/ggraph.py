@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAGeneratingSetError
+from .errors import NotAGeneratingSetError, SizeLimitError
 from .groups import Coset, GenSequence, GroupTable, make_gen_sequence, right_cosets
-from .multigraph import Multigraph
+from .multigraph import VERTEX_LIMIT, Multigraph
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
     Accepts a validated GenSequence or raw element indices (validated here).
     Edge multiplicities are found by mapping every group element to its coset
     in each class: element x contributes one unit between coset_i(x) and
-    coset_j(x) for every class pair i < j.
+    coset_j(x) for every class pair i < j.  The vertex count sum |G|/o(s_i)
+    is checked against VERTEX_LIMIT before any coset is enumerated.
     """
     if not isinstance(s, GenSequence):
         s = make_gen_sequence(g, s)
@@ -135,6 +136,9 @@ def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
         # fail fast if a stale sequence is replayed against another group
         if any(not 0 <= x < g.order for x in s.positions):
             raise NotAGeneratingSetError("sequence does not index this group")
+    vertices = sum(g.order // o for o in s.orders)
+    if vertices > VERTEX_LIMIT:
+        raise SizeLimitError(f"vertex count {vertices} exceeds {VERTEX_LIMIT}")
     k = len(s)
     partitions = []
     coset_index_per_class = []

@@ -13,7 +13,8 @@ identical bytes.
 Edge-list text format: one ``u v [multiplicity]`` line per edge, 0-based
 vertex ids, ``#`` starts a comment.  Optional ``partition: id id ...`` header
 lines declare one partition class each (all vertices or none must be
-covered).
+covered).  The graph is sized from the largest id, so ids at or above
+``multigraph.VERTEX_LIMIT`` are refused.
 """
 
 from __future__ import annotations

@@ -5,19 +5,24 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SizeLimitError
+
+VERTEX_LIMIT = 100_000
 
 
 class Multigraph:
     """Undirected multigraph on vertices ``0..n-1`` with integer multiplicities.
 
     ``classes`` optionally records a vertex partition (used when the graph
-    came from a coset construction or an annotated edge list).
+    came from a coset construction or an annotated edge list).  ``n`` is
+    bounded at VERTEX_LIMIT, so no input can size a graph past it.
     """
 
     def __init__(self, n: int, classes: Optional[list[list[int]]] = None):
         if n < 0:
             raise InvalidParameterError("vertex count must be >= 0")
+        if n > VERTEX_LIMIT:
+            raise SizeLimitError(f"vertex count {n} exceeds {VERTEX_LIMIT}")
         self.n = n
         self.edges: dict[tuple[int, int], int] = {}
         self.classes = classes

@@ -2,8 +2,10 @@
 
 The adjacency matrix of a coset graph is integer-valued with zero diagonal
 blocks (one block per partition class); entries are edge multiplicities.
-Eigenvalues come from a cyclic Jacobi sweep over the dense symmetric matrix,
-so exact integers enter floating point only at the eigen-decomposition.
+Eigenvalues come from LAPACK's symmetric solver (``numpy.linalg.eigvalsh``)
+on the dense matrix, so exact integers enter floating point only at the
+eigen-decomposition.  Matrices are bounded at DIMENSION_LIMIT, checked before
+any matrix is allocated.
 
 Energy is the sum of absolute eigenvalues.  A graph on n vertices is
 classified HYPO when energy < n and HYPER when energy > 2n - 2, both strict;
@@ -14,7 +16,7 @@ carries the booleans energy >= n and energy = 2n - 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .errors import InvalidMatrixError, InvalidPairError, SizeLimitError
 from .ggraph import GGraph
 from .multigraph import Multigraph
 
-DIMENSION_LIMIT = 700
+DIMENSION_LIMIT = 2048
 GROUP_TOL = 1e-6
 _CLASS_EPS = 1e-8
 
@@ -95,13 +97,24 @@ class MatrixDiagnostics:
         )
 
 
+def _adjacency(n: int, edges: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """The n x n multiplicity matrix of (u, v, multiplicity) triples.
+
+    The dimension is checked against DIMENSION_LIMIT before the matrix is
+    allocated.
+    """
+    if n > DIMENSION_LIMIT:
+        raise SizeLimitError(f"dimension {n} exceeds {DIMENSION_LIMIT}")
+    m = np.zeros((n, n), dtype=np.int64)
+    u, v, mult = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    m[u, v] = mult
+    m[v, u] = mult
+    return m
+
+
 def adjacency_matrix(gg: GGraph) -> AdjMatrix:
     """Adjacency matrix in the graph's canonical vertex order."""
-    n = gg.vertex_count
-    m = np.zeros((n, n), dtype=np.int64)
-    for u, v, mult in gg.edges:
-        m[u, v] = mult
-        m[v, u] = mult
+    m = _adjacency(gg.vertex_count, gg.edges)
     return AdjMatrix(matrix=m, block_bounds=gg.class_offsets)
 
 
@@ -114,10 +127,7 @@ def adjacency_from_multigraph(
     zero-diagonal-block invariant trivially satisfied.
     """
     n = mg.n
-    m = np.zeros((n, n), dtype=np.int64)
-    for (u, v), mult in mg.edges.items():
-        m[u, v] = mult
-        m[v, u] = mult
+    m = _adjacency(n, [(u, v, mult) for (u, v), mult in mg.edges.items()])
     if classes is None:
         classes = mg.classes
     if classes is not None:
@@ -134,51 +144,7 @@ def adjacency_from_multigraph(
     return AdjMatrix(matrix=m, block_bounds=tuple(bounds))
 
 
-def _jacobi_eigenvalues(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below tol times
-    the matrix Frobenius norm.
-    """
-    a = matrix.astype(np.float64).copy()
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0]])
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    threshold = tol * scale
-    for _ in range(100):
-        off_sq = float(np.sum(np.square(a)) - np.sum(np.square(np.diag(a))))
-        off = float(np.sqrt(max(off_sq, 0.0)))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise ArithmeticError("Jacobi sweeps did not converge")
-    return np.sort(np.diag(a))[::-1]
-
-
-def spectrum(m: AdjMatrix, tol: float = 1e-10) -> SpectrumReport:
+def spectrum(m: AdjMatrix) -> SpectrumReport:
     """Sorted eigenvalues with multiplicities, energy, and energy class.
 
     Eigenvalues closer than GROUP_TOL are merged into one entry whose value
@@ -188,13 +154,14 @@ def spectrum(m: AdjMatrix, tol: float = 1e-10) -> SpectrumReport:
     n = m.dimension
     if n > DIMENSION_LIMIT:
         raise SizeLimitError(f"dimension {n} exceeds {DIMENSION_LIMIT}")
-    values = _jacobi_eigenvalues(m.matrix, tol)
+    a = m.matrix.astype(np.float64)
+    values = np.linalg.eigvalsh(a)[::-1]
 
     trace = float(np.sum(values))
     if abs(trace) > 1e-8 * max(1, n):
         raise ArithmeticError(f"eigenvalue sum {trace} violates the zero trace")
     sq_sum = float(np.sum(np.square(values)))
-    entry_sq = float(np.sum(np.square(m.matrix.astype(np.float64))))
+    entry_sq = float(np.sum(np.square(a)))
     if entry_sq > 0 and abs(sq_sum - entry_sq) > 1e-6 * entry_sq:
         raise ArithmeticError("eigenvalue squares do not match matrix entries")
 

@@ -1,10 +1,12 @@
 import json
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fixture_catalog as cat
-from ggraphs import InvalidInputError, affine_ball, sl2z_ball
+from ggraphs import InvalidInputError, SizeLimitError, affine_ball, sl2z_ball
 from ggraphs.cli import main
 from ggraphs.io import (
     document_from_ball,
@@ -16,7 +18,8 @@ from ggraphs.io import (
     parse_edge_list,
     to_dot,
 )
-from ggraphs.multigraph import complete_bipartite, turan_graph
+from ggraphs.multigraph import VERTEX_LIMIT, Multigraph, complete_bipartite, turan_graph
+from ggraphs.spectral import DIMENSION_LIMIT, adjacency_from_multigraph
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -60,7 +63,6 @@ def test_dot_line_count_matches_multiplicity():
 
 
 def test_dot_single_vertex():
-    from ggraphs.multigraph import Multigraph
 
     doc = document_from_multigraph(Multigraph(1))
     dot = to_dot(doc)
@@ -297,3 +299,53 @@ def test_document_must_be_an_object():
         with pytest.raises(InvalidInputError):
             loads(text)
     assert loads(json.dumps(_ONE_EDGE)).to_multigraph().edge_multiplicity_total() == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+def test_cli_refuses_a_huge_vertex_id_quickly(tmp_path, capsys, command):
+    src = tmp_path / "big.edges"
+    src.write_text("0 2000000\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main([command, str(src)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_spectrum_checks_the_dimension_bound(tmp_path, capsys):
+    src = tmp_path / "wide.edges"
+    src.write_text(f"0 {DIMENSION_LIMIT}\n", encoding="utf-8")
+    assert main(["spectrum", str(src)]) == 2
+    assert f"dimension {DIMENSION_LIMIT + 1} exceeds" in capsys.readouterr().err
+
+
+def test_adjacency_refuses_past_the_dimension_bound_without_allocating():
+    mg = Multigraph(DIMENSION_LIMIT + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            adjacency_from_multigraph(mg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the int64 matrix alone would take 33 MB
+
+
+def test_cli_spectrum_prints_an_unsigned_zero(capsys):
+    assert main(["spectrum", str(FIXDIR / "k25.edges")]) == 0
+    out = capsys.readouterr().out
+    assert "-0.000000" not in out
+    assert '"value": "0.000000"' in out
+
+
+def test_edge_list_vertex_bound():
+    assert parse_edge_list(f"0 {VERTEX_LIMIT - 1}\n").n == VERTEX_LIMIT
+    with pytest.raises(SizeLimitError):
+        parse_edge_list(f"0 {VERTEX_LIMIT}\n")
+    with pytest.raises(SizeLimitError):
+        parse_edge_list(f"partition: 0 {VERTEX_LIMIT}\n")
+
+
+def test_cli_build_refuses_past_the_vertex_bound(capsys):
+    # Z_n on (0, 1): n singleton cosets of <0> plus the one coset of <1>
+    assert main(["build", "--group", f"cyclic:{VERTEX_LIMIT}", "--gens", "0,1"]) == 2
+    assert f"vertex count {VERTEX_LIMIT + 1} exceeds" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from ggraphs import (
     adjacency_from_multigraph,
     adjacency_matrix,
     make_cyclic,
+    make_dihedral,
     build_ggraph,
     matrix_diagnostics,
     spectrum,
@@ -155,38 +156,113 @@ def test_hyperenergetic_classification_strict():
     assert rep.energy_class == HYPER  # 8 > 2*4 - 2
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "sym3_all_transpositions",
-        "sym4_12_tailcycle",
-        "alt4_12i",
-        "dihedral10_rs",
-        "dihedral16_st",
-        "quaternion_ab",
-        "genq3_ab",
-        "sd16_ab",
-        "z3z3_s1",
-        "klein_ab_ab",
-        "trivial5",
-    ],
-)
+def jacobi_eigenvalues(matrix):
+    """Descending eigenvalues by cyclic Jacobi rotations in pure Python.
+
+    A reference that shares no code with LAPACK or BLAS (element-wise
+    numpy only): sweeps run until the off-diagonal Frobenius norm is below
+    1e-10 of the matrix's.
+    """
+    a = matrix.astype(np.float64)
+    threshold = 1e-20 * np.sum(np.square(a))
+    for _ in range(100):
+        if np.sum(np.square(a - np.diag(np.diag(a)))) <= threshold:
+            return np.sort(np.diag(a))[::-1]
+        for p in range(len(a) - 1):
+            for q in range(p + 1, len(a)):
+                if a[p, q] == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                ap, aq = a[:, p].copy(), a[:, q].copy()
+                a[:, p], a[:, q] = c * ap - s * aq, s * ap + c * aq
+                ap, aq = a[p, :].copy(), a[q, :].copy()
+                a[p, :], a[q, :] = c * ap - s * aq, s * ap + c * aq
+                a[p, q] = a[q, p] = 0.0
+    raise ArithmeticError("Jacobi sweeps did not converge")
+
+
+ORACLE_GRAPHS = [
+    "sym3_all_transpositions",
+    "sym4_12_tailcycle",
+    "alt4_12i",
+    "dihedral10_rs",
+    "dihedral16_st",
+    "quaternion_ab",
+    "genq3_ab",
+    "sd16_ab",
+    "z3z3_s1",
+    "klein_ab_ab",
+    "trivial5",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
 def test_jacobi_matches_numpy_oracle(name):
     m = adjacency_matrix(cat.ggraph_of(name))
-    ours = expand(spectrum(m))
-    reference = sorted(np.linalg.eigvalsh(m.matrix.astype(float)), reverse=True)
-    assert np.allclose(ours, reference, atol=1e-8)
+    assert np.allclose(expand(spectrum(m)), jacobi_eigenvalues(m.matrix), atol=1e-8)
 
 
 def test_jacobi_on_72_vertex_graph():
     # degree 10 everywhere; the energy is genuinely hyperenergetic here
     m = adjacency_matrix(cat.ggraph_of("sym4_all_transpositions"))
     report = spectrum(m)
-    ours = expand(report)
-    reference = sorted(np.linalg.eigvalsh(m.matrix.astype(float)), reverse=True)
-    assert np.allclose(ours, reference, atol=1e-8)
+    assert np.allclose(expand(report), jacobi_eigenvalues(m.matrix), atol=1e-8)
     assert report.energy == pytest.approx(196, abs=1e-6)
     assert report.energy_class == HYPER  # 196 > 2*72 - 2
+
+
+def exact_traces(gg):
+    """tr A^j for j = 1..4 as Python integers, with the closed forms for
+    j <= 3 (tr A = 0, tr A^2 = 2 sum m^2, tr A^3 = 6 x weighted triangles)
+    checked against integer matrix powers."""
+    mult = {(u, v): m for u, v, m in gg.edges}
+    triangles = sum(
+        m_uv * m_vw * mult.get((u, w), 0)
+        for (u, v), m_uv in mult.items()
+        for (v2, w), m_vw in mult.items()
+        if v2 == v
+    )
+    a = adjacency_matrix(gg).matrix
+    powers = [np.linalg.matrix_power(a, j) for j in (1, 2, 3, 4)]
+    traces = [int(np.trace(p)) for p in powers]
+    assert traces[:3] == [0, 2 * sum(m * m for m in mult.values()), 6 * triangles]
+    return traces
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS + ["sym4_all_transpositions"])
+def test_power_sums_match_exact_traces(name):
+    gg = cat.ggraph_of(name)
+    values = np.array(expand(spectrum(adjacency_matrix(gg))))
+    top = max([1, *gg.weighted_degrees()])  # bounds the spectral radius
+    for j, exact in enumerate(exact_traces(gg), start=1):
+        assert float(np.sum(values**j)) == pytest.approx(
+            exact, abs=1e-9 * len(values) * top**j
+        )
+
+
+@pytest.mark.parametrize(
+    "name", ["sym4_all_transpositions", "quaternion_ab", "sd16_ab", "genq3_ab"]
+)
+def test_incidence_factorization(name):
+    # A = N^T N - D: N is the element-by-coset incidence, D the coset sizes
+    gg = cat.ggraph_of(name)
+    incidence = np.zeros((gg.group_order, gg.vertex_count), dtype=np.int64)
+    for v in range(gg.vertex_count):
+        incidence[list(gg.coset_of(v).elements), v] = 1
+    sizes = np.diag(incidence.sum(axis=0))
+    assert np.array_equal(incidence.T @ incidence - sizes, adjacency_matrix(gg).matrix)
+
+
+def test_dihedral_1440_is_complete_bipartite_2_720():
+    d1440 = make_dihedral(720)
+    gg = build_ggraph(d1440, [d1440.designated["r"], d1440.designated["s"]])
+    report = spectrum(adjacency_matrix(gg))
+    assert report.dimension == 722
+    root = math.sqrt(1440)
+    assert_spectrum(report, [(root, 1), (0, 720), (-root, 1)], tol=1e-9)
 
 
 @pytest.mark.parametrize(
