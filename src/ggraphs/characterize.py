@@ -7,6 +7,11 @@ accepted iff some proper k-coloring has uniform degree n_i and size m_i per
 class with m_i * n_i = 2|E|/k, every n_i/(k-1) integral, and
 |G| = 2|E|/(k(k-1)) integral.  Edge counts always include multiplicity.
 
+One backtracker, ``_proper_coloring``, does all the coloring search: it
+finds the chromatic number and, given the class size each degree requires,
+the conditioned partition.  Every node it visits is charged to one budget
+(``node_budget``); when that runs out the verdict is UNDETERMINED.
+
 Accepted verdicts carry recovered parameters and an order-constraints
 presentation string.  The presentation lists only the generator orders; it
 determines the group parameters, not the group itself, so ``witness_search``
@@ -30,6 +35,7 @@ from .errors import (
 )
 from .ggraph import build_ggraph
 from .groups import (
+    CLOSURE_LIMIT,
     GenSequence,
     GroupTable,
     conjugacy_classes,
@@ -126,77 +132,56 @@ def _has_proper_coloring(mg: Multigraph, k: int, budget: _Budget) -> bool:
         return True
     if k == 2:
         return mg.bipartition() is not None
-    masks = _adjacency_masks(mg)
-    degrees = mg.weighted_degrees()
-    order = sorted(range(mg.n), key=lambda v: (-degrees[v], v))
-    class_masks = [0] * k
-
-    def assign(idx: int, opened: int) -> bool:
-        budget.spend()
-        if idx == mg.n:
-            return True
-        v = order[idx]
-        bit = 1 << v
-        for c in range(min(opened + 1, k)):
-            if class_masks[c] & masks[v]:
-                continue
-            class_masks[c] |= bit
-            if assign(idx + 1, max(opened, c + 1)):
-                return True
-            class_masks[c] &= ~bit
-        return False
-
-    return assign(0, 0)
+    return _proper_coloring(mg, k, budget) is not None
 
 
-def _conditioned_partition(
-    mg: Multigraph, k: int, required_size: dict[int, int], budget: _Budget
+def _proper_coloring(
+    mg: Multigraph, k: int, budget: _Budget,
+    required_size: Optional[dict[int, int]] = None,
 ) -> Optional[list[list[int]]]:
-    """First proper k-coloring whose classes have uniform degree and the
-    exact size dictated by that degree, or None."""
-    masks = _adjacency_masks(mg)
+    """Classes of the first proper k-coloring found, or None.
+
+    Vertices are colored in (-degree, id) order, each into an open class or
+    the next new one.  With ``required_size`` the coloring must also use all
+    k classes, each of one degree d and exactly ``required_size[d]`` vertices:
+    a vertex then also conflicts with every vertex of another degree.
+    """
+    n = mg.n
+    conflicts = _adjacency_masks(mg)
     degrees = mg.weighted_degrees()
-    order = sorted(range(mg.n), key=lambda v: (-degrees[v], v))
+    order = sorted(range(n), key=lambda v: (-degrees[v], v))
+    cap = [0] * n  # cap[v]: the most vertices a class may hold once v joins it; 0: no cap
+    if required_size is not None:
+        same_degree: dict[int, int] = {}
+        for v, d in enumerate(degrees):
+            same_degree[d] = same_degree.get(d, 0) | 1 << v
+        everyone = (1 << n) - 1
+        conflicts = [m | everyone ^ same_degree[d] for m, d in zip(conflicts, degrees)]
+        cap = [required_size[d] for d in degrees]
     class_masks = [0] * k
-    class_deg: list[Optional[int]] = [None] * k
-    class_size = [0] * k
-    assignment = [-1] * mg.n
 
     def assign(idx: int, opened: int) -> bool:
         budget.spend()
-        if idx == mg.n:
-            return opened == k and all(
-                class_size[c] == required_size[class_deg[c]] for c in range(k)
+        if idx == n:
+            return required_size is None or opened == k and all(
+                m.bit_count() == required_size[degrees[(m & -m).bit_length() - 1]]
+                for m in class_masks
             )
         v = order[idx]
-        bit = 1 << v
-        cap = required_size[degrees[v]]
+        bit, clash, full = 1 << v, conflicts[v], cap[v]
         for c in range(min(opened + 1, k)):
-            if class_masks[c] & masks[v]:
+            members = class_masks[c]
+            if members & clash or full and members.bit_count() >= full:
                 continue
-            if class_deg[c] is not None and class_deg[c] != degrees[v]:
-                continue
-            if class_size[c] >= cap:
-                continue
-            prev_deg = class_deg[c]
             class_masks[c] |= bit
-            class_deg[c] = degrees[v]
-            class_size[c] += 1
-            assignment[v] = c
             if assign(idx + 1, max(opened, c + 1)):
                 return True
             class_masks[c] &= ~bit
-            class_deg[c] = prev_deg
-            class_size[c] -= 1
-            assignment[v] = -1
         return False
 
     if not assign(0, 0):
         return None
-    classes: list[list[int]] = [[] for _ in range(k)]
-    for v in range(mg.n):
-        classes[assignment[v]].append(v)
-    return classes
+    return [[v for v in range(n) if m >> v & 1] for m in class_masks]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +364,7 @@ def _characterize_search(mg: Multigraph, budget: _Budget) -> CharacterizationVer
             return _refuse(f"class size {share}/{d} not integral", k)
         required_size[d] = share // d
 
-    classes = _conditioned_partition(mg, k, required_size, budget)
+    classes = _proper_coloring(mg, k, budget, required_size)
     if classes is None:
         return _refuse(
             "no chromatic partition has uniform class degrees and balanced sizes",
@@ -473,7 +458,8 @@ def witness_search(
     Scans a catalog of standard families of the accepted group order and all
     generating sequences matching the accepted order multiset, pruned to one
     candidate per (order, conjugacy class).  An empty result means the
-    catalog is exhausted, not that the verdict is wrong.
+    catalog is exhausted, not that the verdict is wrong; no catalog group is
+    larger than CLOSURE_LIMIT.
     """
     if verdict.status != ACCEPT or not verdict.group_order or not verdict.gen_orders:
         return [] if all_matches else None
@@ -485,7 +471,7 @@ def witness_search(
     k = len(wanted)
     expected_vertices = sum(n_order // o for o in wanted if n_order % o == 0)
     expected_mult = k * (k - 1) // 2 * n_order
-    if any(n_order % o for o in wanted):
+    if n_order > CLOSURE_LIMIT or any(n_order % o for o in wanted):
         return [] if all_matches else None
     if expected_vertices != tgt.n or expected_mult != tgt.edge_multiplicity_total():
         return [] if all_matches else None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotAGeneratingSetError, SizeLimitError
 from .groups import Coset, GenSequence, GroupTable, make_gen_sequence, right_cosets
-from .multigraph import VERTEX_LIMIT, Multigraph
+from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
     Edge multiplicities are found by mapping every group element to its coset
     in each class: element x contributes one unit between coset_i(x) and
     coset_j(x) for every class pair i < j.  The vertex count sum |G|/o(s_i)
-    is checked against VERTEX_LIMIT before any coset is enumerated.
+    is checked against VERTEX_LIMIT, and the edge multiplicity total
+    k(k-1)/2 * |G| against MULTIPLICITY_LIMIT, before any coset is enumerated.
     """
     if not isinstance(s, GenSequence):
         s = make_gen_sequence(g, s)
@@ -140,6 +141,9 @@ def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
     if vertices > VERTEX_LIMIT:
         raise SizeLimitError(f"vertex count {vertices} exceeds {VERTEX_LIMIT}")
     k = len(s)
+    units = k * (k - 1) // 2 * g.order
+    if units > MULTIPLICITY_LIMIT:
+        raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
     partitions = []
     coset_index_per_class = []
     for i, x in enumerate(s.positions):

@@ -372,6 +372,8 @@ def make_cyclic(n: int) -> GroupTable:
     """Z_n under addition mod n; element i is labelled str(i)."""
     if n < 1:
         raise InvalidParameterError("cyclic group order must be >= 1")
+    if n > CLOSURE_LIMIT:
+        raise SizeLimitError(f"group order {n} exceeds {CLOSURE_LIMIT}")
     return GroupTable(
         n, rule=lambda a, b: (a + b) % n, inv=[(-i) % n for i in range(n)],
         identity=0, labels=[str(i) for i in range(n)], family_tag=f"Z{n}",

@@ -23,10 +23,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SizeLimitError
 from .ggraph import GGraph
 from .infinite import BallGraph
-from .multigraph import Multigraph
+from .multigraph import MULTIPLICITY_LIMIT, Multigraph
 
 SCHEMA_VERSION = "1"
 
@@ -301,8 +301,12 @@ def to_dot(doc: GraphDocument) -> str:
     """Undirected DOT with one edge line per unit of multiplicity.
 
     Vertices are colored by partition class and labelled by their coset
-    members when available.
+    members when available.  A total multiplicity above MULTIPLICITY_LIMIT
+    is refused before any line is built.
     """
+    units = sum(e["multiplicity"] for e in doc.edges)
+    if units > MULTIPLICITY_LIMIT:
+        raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
     lines = ["graph coset_graph {", "  node [style=filled];"]
     for c, part in enumerate(doc.partitions):
         color = _DOT_PALETTE[c % len(_DOT_PALETTE)]
@@ -321,5 +325,6 @@ def to_dot(doc: GraphDocument) -> str:
 
 
 def export_dot(doc: GraphDocument, path) -> None:
+    text = to_dot(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(doc))
+        fh.write(text)

@@ -8,6 +8,8 @@ from typing import Iterable, Optional
 from .errors import InvalidParameterError, SizeLimitError
 
 VERTEX_LIMIT = 100_000
+# most edge units (the sum of multiplicities) a coset graph or DOT export holds
+MULTIPLICITY_LIMIT = 1_000_000
 
 
 class Multigraph:

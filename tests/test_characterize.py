@@ -22,6 +22,7 @@ from ggraphs.multigraph import (
     cycle_graph,
     dodecahedron_graph,
     icosahedron_graph,
+    octahedron_graph,
     path_graph,
     rhombic_dodecahedron_graph,
     star_graph,
@@ -230,6 +231,110 @@ def test_search_path_handles_multiplicities():
     assert sorted(verdict.gen_orders) == [4, 4]
 
 
+def _circulant(n, jumps):
+    graph = Multigraph(n)
+    for u, v in sorted({tuple(sorted((u, (u + j) % n))) for u in range(n) for j in jumps}):
+        graph.add_edge(u, v)
+    return graph
+
+
+# (graph, use its own classes as the partition, verdict, nodes it takes); the
+# cycles and the circulant reach the size-conditioned search, where the class
+# size caps prune
+_NODE_COUNTS = [
+    ("icosahedron", icosahedron_graph, False, REFUSE, 65),
+    ("dodecahedron", dodecahedron_graph, False, REFUSE, 196),
+    ("octahedron", octahedron_graph, False, ACCEPT, 14),
+    ("cube", cube_graph, False, ACCEPT, 9),
+    ("rhombic_dodecahedron", rhombic_dodecahedron_graph, False, ACCEPT, 15),
+    ("turan_9_3", lambda: turan_graph(9, 3), False, ACCEPT, 20),
+    ("turan_8_4", lambda: turan_graph(8, 4), False, ACCEPT, 18),
+    ("turan_13_4", lambda: turan_graph(13, 4), False, REFUSE, 14),
+    ("k22_mult2", lambda: complete_bipartite(2, 2, mult=2), False, ACCEPT, 5),
+    ("turan_8_4_classes", lambda: turan_graph(8, 4), True, ACCEPT, 11),
+    ("turan_12_4_classes", lambda: turan_graph(12, 4), True, ACCEPT, 28),
+    ("cycle_9", lambda: cycle_graph(9), False, ACCEPT, 28),
+    ("cycle_15", lambda: cycle_graph(15), False, ACCEPT, 108),
+    ("circulant_15_1_4_6", lambda: _circulant(15, (1, 4, 6)), False, REFUSE, 158),
+]
+
+
+@pytest.mark.parametrize(
+    "make,own_classes,status,nodes",
+    [case[1:] for case in _NODE_COUNTS],
+    ids=[case[0] for case in _NODE_COUNTS],
+)
+def test_node_budget_is_spent_exactly(make, own_classes, status, nodes):
+    # the coloring search spends exactly `nodes` search-tree nodes: that many
+    # reach the verdict, one fewer leaves it undetermined
+    graph = make()
+    partition = graph.classes if own_classes else None
+    verdict = characterize(graph, partition, node_budget=nodes)
+    assert verdict.status == status
+    assert verdict == characterize(graph, partition)
+    short = characterize(graph, partition, node_budget=nodes - 1)
+    assert short.status == UNDETERMINED
+    assert short.refusal_reason == "search budget exhausted"
+
+
+
+def _coloring_holds(graph, classes, k, required_size):
+    """Whether ``classes`` is a proper k-coloring of ``graph`` that meets
+    ``required_size`` (when given): all k classes used, each of one degree d
+    and with exactly required_size[d] vertices."""
+    if len(classes) != k or sorted(v for cls in classes for v in cls) != list(range(graph.n)):
+        return False
+    where = {v: c for c, cls in enumerate(classes) for v in cls}
+    if any(where[u] == where[v] for u, v in graph.edges):
+        return False
+    if required_size is None:
+        return True
+    degrees = graph.weighted_degrees()
+    for cls in classes:
+        degs = {degrees[v] for v in cls}
+        if len(degs) != 1 or len(cls) != required_size[degs.pop()]:
+            return False
+    return True
+
+
+def test_proper_coloring_matches_brute_force():
+    import random
+    from itertools import product
+
+    from ggraphs.characterize import _Budget, _proper_coloring
+
+    rng = random.Random(5)
+    found = {False: 0, True: 0}
+    for _ in range(150):
+        n, k = rng.randint(2, 7), rng.randint(2, 4)
+        p = rng.random()
+        graph = Multigraph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    graph.add_edge(u, v, rng.choice([1, 1, 2]))
+        degrees = graph.weighted_degrees()
+        colorings = []
+        for colors in product(range(k), repeat=n):
+            if all(colors[u] != colors[v] for u, v in graph.edges):
+                colorings.append([[v for v in range(n) if colors[v] == c] for c in range(k)])
+        required_size = {d: rng.randint(1, n) for d in set(degrees)}
+        uniform = [
+            c for c in colorings if all(len({degrees[v] for v in cls}) == 1 for cls in c)
+        ]
+        if uniform and rng.random() < 0.7:
+            # plant the sizes of a coloring whose classes are degree-uniform
+            required_size = {degrees[cls[0]]: len(cls) for cls in rng.choice(uniform)}
+        for required in (None, required_size):
+            expected = any(_coloring_holds(graph, c, k, required) for c in colorings)
+            classes = _proper_coloring(graph, k, _Budget(10**6), required)
+            assert (classes is not None) == expected
+            if classes is not None:
+                assert _coloring_holds(graph, classes, k, required)
+            found[required is not None] += expected
+    # both searches met colorings to find, and inputs with none
+    assert 50 <= found[False] < 150 and 20 <= found[True] < 150
+
 def test_random_round_trips():
     import random
 
@@ -391,6 +496,16 @@ def test_witness_complete_graphs_via_trivial_group():
 def test_witness_none_for_refusals():
     verdict = characterize(icosahedron_graph())
     assert witness_search(verdict, icosahedron_graph()) is None
+
+
+def test_witness_none_past_the_catalog_order_bound():
+    # K_{2,2} with every edge 2501-fold: ACCEPT with |G| = 10004, above
+    # CLOSURE_LIMIT, so no catalog group can be built
+    target = complete_bipartite(2, 2, mult=2501)
+    verdict = characterize(target)
+    assert verdict.status == ACCEPT and verdict.group_order == 10004
+    assert witness_search(verdict, target) is None
+    assert witness_search(verdict, target, all_matches=True) == []
 
 
 def test_catalog_builds_each_abelian_group_once():

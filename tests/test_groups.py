@@ -23,7 +23,14 @@ from ggraphs import (
     make_trivial,
     right_cosets,
 )
-from ggraphs.groups import compose, conjugacy_classes, cycle_notation, parse_cycles, parity
+from ggraphs.groups import (
+    CLOSURE_LIMIT,
+    compose,
+    conjugacy_classes,
+    cycle_notation,
+    parse_cycles,
+    parity,
+)
 
 
 def test_cyclic_basics():
@@ -36,6 +43,12 @@ def test_cyclic_basics():
     assert make_cyclic(1).order == 1
     with pytest.raises(InvalidParameterError):
         make_cyclic(0)
+
+
+def test_cyclic_order_is_capped_like_the_other_families():
+    assert make_cyclic(CLOSURE_LIMIT).order == CLOSURE_LIMIT
+    with pytest.raises(SizeLimitError):
+        make_cyclic(CLOSURE_LIMIT + 1)
 
 
 def test_direct_product_orders():

@@ -18,7 +18,13 @@ from ggraphs.io import (
     parse_edge_list,
     to_dot,
 )
-from ggraphs.multigraph import VERTEX_LIMIT, Multigraph, complete_bipartite, turan_graph
+from ggraphs.multigraph import (
+    MULTIPLICITY_LIMIT,
+    VERTEX_LIMIT,
+    Multigraph,
+    complete_bipartite,
+    turan_graph,
+)
 from ggraphs.spectral import DIMENSION_LIMIT, adjacency_from_multigraph
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -346,6 +352,47 @@ def test_edge_list_vertex_bound():
 
 
 def test_cli_build_refuses_past_the_vertex_bound(capsys):
-    # Z_n on (0, 1): n singleton cosets of <0> plus the one coset of <1>
-    assert main(["build", "--group", f"cyclic:{VERTEX_LIMIT}", "--gens", "0,1"]) == 2
+    # Z_10000 on ten 0s and a 1: 10 x 10000 singleton cosets of <0> plus the
+    # one coset of <1>
+    gens = ",".join(["0"] * 10 + ["1"])
+    assert main(["build", "--group", "cyclic:10000", "--gens", gens]) == 2
     assert f"vertex count {VERTEX_LIMIT + 1} exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["build", "--group", "cyclic:1000000", "--gens", "1"], "group order 1000000 exceeds"),
+        # k = 15 classes of Z_10000: 105 x 10000 edge units
+        (["build", "--group", "cyclic:10000", "--gens", ",".join(["1"] * 15)],
+         "edge multiplicity 1050000 exceeds"),
+        (["build", "--group", "cyclic:10000", "--gens", ",".join(["1"] * 60)],
+         "edge multiplicity 17700000 exceeds"),
+    ],
+    ids=["cyclic_order", "multiplicity_15", "multiplicity_60"],
+)
+def test_cli_build_refuses_oversize_groups_quickly(capsys, command, message):
+    start = time.perf_counter()
+    assert main(command) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_cli_export_dot_refuses_past_the_multiplicity_bound(tmp_path, capsys):
+    src = tmp_path / "heavy.edges"
+    src.write_text("0 1 2000000\n", encoding="utf-8")
+    out = tmp_path / "heavy.dot"
+    start = time.perf_counter()
+    assert main(["export-dot", str(src), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "edge multiplicity 2000000 exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_to_dot_bounds_the_summed_multiplicity():
+    # each edge is within the bound, their sum is not
+    heavy = Multigraph(3)
+    heavy.add_edge(0, 1, MULTIPLICITY_LIMIT)
+    heavy.add_edge(1, 2)
+    with pytest.raises(SizeLimitError):
+        to_dot(document_from_multigraph(heavy))
