@@ -8,11 +8,14 @@ subgroup-induced-subgraph comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .ggraph import GGraph, build_ggraph
-from .groups import GenSequence, GroupTable, make_gen_sequence, subgroup_table
 from .multigraph import Multigraph
+
+# groups loads numpy, so it is imported inside the functions that use a group
+if TYPE_CHECKING:
+    from .groups import GenSequence, GroupTable
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ def check_subgroup_subgraph(
     cosets wholly contained in H matches the coset graph of (H, selection)
     class by class with equal multiplicities.
     """
+    from .groups import make_gen_sequence, subgroup_table
+
     h_positions = list(h_positions)
     if not h_positions:
         raise ValueError("need at least one selected position")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -34,23 +34,12 @@ from .errors import (
     TooLargeError,
 )
 from .ggraph import build_ggraph
-from .groups import (
-    CLOSURE_LIMIT,
-    GenSequence,
-    GroupTable,
-    conjugacy_classes,
-    element_order,
-    make_alternating,
-    make_cyclic,
-    make_dihedral,
-    make_direct_product,
-    make_gen_sequence,
-    make_generalized_quaternion,
-    make_semidihedral,
-    make_symmetric,
-)
 from .iso import SIZE_BOUND, are_isomorphic
 from .multigraph import Multigraph, as_multigraph
+
+# groups loads numpy, so it is imported inside the functions that use a group
+if TYPE_CHECKING:
+    from .groups import GenSequence, GroupTable
 
 ACCEPT = "ACCEPT"
 REFUSE = "REFUSE"
@@ -461,6 +450,8 @@ def witness_search(
     catalog is exhausted, not that the verdict is wrong; no catalog group is
     larger than CLOSURE_LIMIT.
     """
+    from .groups import CLOSURE_LIMIT, conjugacy_classes, element_order, make_gen_sequence
+
     if verdict.status != ACCEPT or not verdict.group_order or not verdict.gen_orders:
         return [] if all_matches else None
     tgt = as_multigraph(target)
@@ -505,6 +496,16 @@ def witness_search(
 
 
 def _catalog_groups(n: int) -> Iterator[GroupTable]:
+    from .groups import (
+        make_alternating,
+        make_cyclic,
+        make_dihedral,
+        make_direct_product,
+        make_generalized_quaternion,
+        make_semidihedral,
+        make_symmetric,
+    )
+
     yield make_cyclic(n)
     for parts in _factorizations(n):
         # one abelian group per invariant-factor chain d1 | d2 | ...; the

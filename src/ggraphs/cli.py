@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import io as gio
 from .analysis import structure_report
@@ -29,25 +30,13 @@ from .errors import (
     SizeLimitError,
 )
 from .ggraph import build_ggraph, predicted_stats
-from .groups import (
-    GroupTable,
-    closure_from_permutations,
-    make_alternating,
-    make_cyclic,
-    make_dihedral,
-    make_gen_sequence,
-    make_generalized_quaternion,
-    make_klein,
-    make_semidihedral,
-    make_symmetric,
-    make_trivial,
-    parse_cycles,
-    cycle_notation,
-)
 from .infinite import affine_ball, sl2z_ball
 from .iso import recognize_family
 from .multigraph import Multigraph
-from .spectral import adjacency_from_multigraph, matrix_csv, spectrum
+
+# groups and spectral load numpy, so they are imported inside the commands that use them
+if TYPE_CHECKING:
+    from .groups import GroupTable
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -57,6 +46,18 @@ EXIT_UNDETERMINED = 5
 
 
 def parse_group_spec(spec: str) -> GroupTable:
+    from .groups import (
+        closure_from_permutations,
+        make_alternating,
+        make_cyclic,
+        make_dihedral,
+        make_generalized_quaternion,
+        make_klein,
+        make_semidihedral,
+        make_symmetric,
+        make_trivial,
+    )
+
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
     if name == "klein":
@@ -105,6 +106,8 @@ def split_generator_list(text: str) -> list[str]:
 
 
 def resolve_generator(g: GroupTable, token: str) -> int:
+    from .groups import cycle_notation, parse_cycles
+
     if token in g.designated:
         return g.designated[token]
     try:
@@ -140,6 +143,8 @@ def load_graph_input(path: str) -> Multigraph:
 
 
 def cmd_build(args) -> int:
+    from .groups import make_gen_sequence
+
     try:
         group = parse_group_spec(args.group)
     except (ValueError, GGraphError) as exc:
@@ -148,14 +153,13 @@ def cmd_build(args) -> int:
     try:
         tokens = split_generator_list(args.gens)
         elements = [resolve_generator(group, tok) for tok in tokens]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
         seq = make_gen_sequence(group, elements)
     except NotAGeneratingSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_GENERATING
+    except (ValueError, GGraphError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     try:
         gg = build_ggraph(group, seq)
@@ -265,6 +269,8 @@ def _fixed(value: float) -> str:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectral import adjacency_from_multigraph, matrix_csv, spectrum
+
     try:
         mg = load_graph_input(args.input)
         try:
@@ -292,10 +298,14 @@ def cmd_spectrum(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    if args.matrix_out:
-        Path(args.matrix_out).write_text(matrix_csv(adj), encoding="utf-8")
+    try:
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        if args.matrix_out:
+            Path(args.matrix_out).write_text(matrix_csv(adj), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     return EXIT_OK
 
 

@@ -9,10 +9,14 @@ edge counts always count multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import NotAGeneratingSetError, SizeLimitError
-from .groups import Coset, GenSequence, GroupTable, make_gen_sequence, right_cosets
 from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph
+
+# groups loads numpy, so it is imported inside the functions that use a group
+if TYPE_CHECKING:
+    from .groups import Coset, GenSequence, GroupTable
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,8 @@ def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
     is checked against VERTEX_LIMIT, and the edge multiplicity total
     k(k-1)/2 * |G| against MULTIPLICITY_LIMIT, before any coset is enumerated.
     """
+    from .groups import GenSequence, make_gen_sequence, right_cosets
+
     if not isinstance(s, GenSequence):
         s = make_gen_sequence(g, s)
     else:

@@ -1,0 +1,164 @@
+"""numpy loads only with the group and spectral layers; the public surface holds.
+
+The numpy checks each run in a fresh interpreter, since the test process has
+imported numpy long before.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ggraphs
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXDIR = ROOT / "fixtures"
+
+# Every name ggraphs/__init__.py imported eagerly before its group and
+# spectral layers became lazy.
+EXPORTED = [
+    "StructureReport", "analyze", "check_subgroup_subgraph", "structure_report",
+    "ACCEPT", "REFUSE", "UNDETERMINED", "CharacterizationVerdict", "characterize",
+    "characterize_bipartite", "turan_verdict", "witness_search",
+    "ClosureOverflowError", "GGraphError", "InvalidInputError", "InvalidMatrixError",
+    "InvalidPairError", "InvalidParameterError", "InvalidPartitionError",
+    "NotAGeneratingSetError", "SizeLimitError", "TooLargeError",
+    "GGraph", "PredictedStats", "build_ggraph", "predicted_stats",
+    "Coset", "GenSequence", "GroupTable", "closure_from_permutations", "element_order",
+    "make_alternating", "make_cyclic", "make_dihedral", "make_direct_product",
+    "make_gen_sequence", "make_generalized_quaternion", "make_klein",
+    "make_semidihedral", "make_symmetric", "make_trivial", "right_cosets",
+    "INFINITE", "AffElem", "BallGraph", "Mat2Z", "affine_ball", "is_locally_finite",
+    "sl2z_ball",
+    "CanonicalForm", "FamilyTag", "are_isomorphic", "canonical_form", "recognize_family",
+    "Multigraph",
+    "AdjMatrix", "MatrixDiagnostics", "SpectrumReport", "adjacency_from_multigraph",
+    "adjacency_matrix", "matrix_csv", "matrix_diagnostics", "spectrum",
+]
+
+# Runs the CLI in-process and reports its exit code and whether numpy loaded.
+CLI_PROBE = """
+import json, sys
+from ggraphs.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _python(code, *args, cwd, stdin=None):
+    """The JSON printed last by ``code`` run in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], input=stdin, cwd=cwd, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["ggraphs", "ggraphs.cli"])
+def test_import_leaves_numpy_out(tmp_path, module):
+    code = f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))"
+    assert _python(code, cwd=tmp_path) is False
+
+
+@pytest.fixture
+def cube_json(tmp_path):
+    from ggraphs.io import document_from_multigraph, dumps, read_edge_list
+
+    path = tmp_path / "cube.json"
+    path.write_text(dumps(document_from_multigraph(read_edge_list(FIXDIR / "cube.edges"))))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{fixtures}/cube.edges"],
+        ["analyze", "cube.json"],
+        ["characterize", "{fixtures}/cube.edges"],
+        ["characterize", "{fixtures}/icosahedron.edges"],
+        ["characterize", "cube.json"],
+        ["export-dot", "cube.json", "--out", "cube.dot"],
+        ["infinite", "--group", "sl2z", "--radius", "2", "--out", "ball.json"],
+    ],
+    ids=["analyze_edges", "analyze_json", "characterize_accept", "characterize_refuse",
+         "characterize_json", "export_dot", "infinite"],
+)
+def test_graph_commands_leave_numpy_out(tmp_path, cube_json, argv):
+    argv = [arg.format(fixtures=FIXDIR) for arg in argv]
+    result = _python(CLI_PROBE, *argv, cwd=tmp_path)
+    assert result["code"] in (0, 4)
+    assert result["numpy"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--group", "sym:3", "--gens", "(1 2),(1 3),(2 3)", "--out", "s3.json"],
+        ["spectrum", "{fixtures}/octahedron.edges", "--matrix-out", "oct.csv"],
+    ],
+    ids=["build", "spectrum"],
+)
+def test_group_and_spectral_commands_still_run(tmp_path, argv):
+    argv = [arg.format(fixtures=FIXDIR) for arg in argv]
+    assert _python(CLI_PROBE, *argv, cwd=tmp_path) == {"code": 0, "numpy": True}
+
+
+def test_every_exported_name_resolves():
+    for name in EXPORTED:
+        assert getattr(ggraphs, name) is not None, name
+    assert set(EXPORTED) <= set(dir(ggraphs))
+    assert ggraphs.spectrum is ggraphs.spectral.spectrum
+    assert ggraphs.make_dihedral is ggraphs.groups.make_dihedral
+    assert "make_dihedral" in vars(ggraphs)  # cached after the first lookup
+
+
+def test_star_import_binds_every_exported_name(tmp_path):
+    # fresh, so no earlier lookup has cached a lazy name in the package
+    code = "import json; ns = {}; exec('from ggraphs import *', ns); print(json.dumps(sorted(ns)))"
+    assert set(EXPORTED) <= set(_python(code, cwd=tmp_path))
+
+
+def test_lazy_submodules_resolve_as_attributes(tmp_path):
+    code = ("import json, ggraphs; "
+            "print(json.dumps([ggraphs.groups.__name__, ggraphs.spectral.__name__]))")
+    assert _python(code, cwd=tmp_path) == ["ggraphs.groups", "ggraphs.spectral"]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ggraphs.no_such_name  # noqa: B018
+
+
+# Runs README's Python block one statement at a time, recording the value of
+# each expression statement, then the values its comments state in words.
+README_PROBE = """
+import ast, json, sys
+namespace, values = {}, []
+for node in ast.parse(sys.stdin.read()).body:
+    if isinstance(node, ast.Expr):
+        values.append(str(eval(compile(ast.Expression(node.value), "README", "eval"), namespace)))
+    else:
+        exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+values.append(str(eval("analyze(gg).biregular_degrees", namespace)))
+values.append(eval("spectrum(adjacency_matrix(gg)).energy_class", namespace))
+print(json.dumps(values))
+"""
+
+
+def test_readme_library_example_runs_as_written(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    overview = readme.split("## Library overview", 1)[1]
+    block = re.search(r"```python\n(.*?)```", overview, re.S).group(1)
+    assert block.startswith("from ggraphs import *")
+    values = _python(README_PROBE, cwd=tmp_path, stdin=block)
+    biregular, family, energy, parameters, degrees, energy_class = values
+    assert biregular == "True" and degrees == "(5, 2)"
+    assert family == "complete_bipartite(2, 5)"
+    assert energy.startswith("6.324") and energy_class == "HYPO"
+    assert parameters == "(10, (5, 2))"

@@ -396,3 +396,17 @@ def test_to_dot_bounds_the_summed_multiplicity():
     heavy.add_edge(1, 2)
     with pytest.raises(SizeLimitError):
         to_dot(document_from_multigraph(heavy))
+
+
+@pytest.mark.parametrize("gens", ["", ","], ids=["empty", "comma"])
+def test_cli_build_with_no_generator_is_bad_input(capsys, gens):
+    assert main(["build", "--group", "sym:3", "--gens", gens]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("option", ["--out", "--matrix-out"])
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+def test_cli_spectrum_unwritable_output_is_bad_input(tmp_path, capsys, option, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+    assert main(["spectrum", str(FIXDIR / "cube.edges"), option, str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
