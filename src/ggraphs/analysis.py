@@ -50,31 +50,18 @@ def structure_report(mg: Multigraph) -> StructureReport:
     biregular = False
     biregular_degrees = None
     if bipartite and mg.n >= 2:
-        d0 = {degrees[v] for v in sides[0]}
-        d1 = {degrees[v] for v in sides[1]}
-        if len(d0) == 1 and len(d1) == 1:
+        side_degrees = mg.class_degrees(sides, degrees)
+        if None not in side_degrees:
             biregular = True
-            biregular_degrees = (d0.pop(), d1.pop())
+            biregular_degrees = tuple(side_degrees)
 
     partite_ok = None
     uniform = None
     class_degrees = None
     if mg.classes is not None:
-        where = {}
-        for c, cls in enumerate(mg.classes):
-            for v in cls:
-                where[v] = c
-        partite_ok = all(where[u] != where[v] for u, v in mg.edges)
-        per_class: list[Optional[int]] = []
-        uniform = True
-        for cls in mg.classes:
-            seen = {degrees[v] for v in cls}
-            if len(seen) == 1:
-                per_class.append(seen.pop())
-            else:
-                per_class.append(None)
-                uniform = False
-        class_degrees = tuple(per_class)
+        partite_ok = mg.intra_class_edge() is None
+        class_degrees = tuple(mg.class_degrees(degrees=degrees))
+        uniform = None not in class_degrees
 
     return StructureReport(
         connected=connected,

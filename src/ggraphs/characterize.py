@@ -178,15 +178,6 @@ def _proper_coloring(
 # ---------------------------------------------------------------------------
 
 
-def _single_vertex_verdict() -> CharacterizationVerdict:
-    # A one-vertex graph is the coset graph of any cyclic group with one
-    # full-order generator; the order is not recoverable from the graph.
-    return CharacterizationVerdict(
-        status=ACCEPT, k=1, class_sizes=(1,), class_degrees=(0,),
-        group_order=None, gen_orders=None, presentation=None,
-    )
-
-
 def _accept(
     k: int, sizes: Sequence[int], degs: Sequence[int], group_order: int,
     orders: Sequence[int],
@@ -210,6 +201,22 @@ def _undetermined(reason: str) -> CharacterizationVerdict:
     return CharacterizationVerdict(status=UNDETERMINED, refusal_reason=reason)
 
 
+def _trivial_verdict(mg: Multigraph) -> Optional[CharacterizationVerdict]:
+    """The verdict on an empty, disconnected or one-vertex graph, else None."""
+    if mg.n == 0:
+        return _refuse("empty graph")
+    if not mg.is_connected():
+        return _refuse("disconnected")
+    if mg.n == 1:
+        # A one-vertex graph is the coset graph of any cyclic group with one
+        # full-order generator; the order is not recoverable from the graph.
+        return CharacterizationVerdict(
+            status=ACCEPT, k=1, class_sizes=(1,), class_degrees=(0,),
+            group_order=None, gen_orders=None, presentation=None,
+        )
+    return None
+
+
 def characterize(
     graph,
     partition: Optional[Sequence[Sequence[int]]] = None,
@@ -226,12 +233,9 @@ def characterize(
     verdict is UNDETERMINED rather than a guess.
     """
     mg = as_multigraph(graph)
-    if mg.n == 0:
-        return _refuse("empty graph")
-    if not mg.is_connected():
-        return _refuse("disconnected")
-    if mg.n == 1:
-        return _single_vertex_verdict()
+    verdict = _trivial_verdict(mg)
+    if verdict is not None:
+        return verdict
 
     budget = _Budget(node_budget)
     try:
@@ -251,26 +255,20 @@ def _characterize_with_partition(
     flat = [v for cls in classes for v in cls]
     if sorted(flat) != list(range(mg.n)):
         raise InvalidPartitionError("partition must cover every vertex exactly once")
-    where = {}
-    for c, cls in enumerate(classes):
-        for v in cls:
-            where[v] = c
-    for u, v in mg.edges:
-        if where[u] == where[v]:
-            raise InvalidPartitionError(
-                f"partition is not proper: edge ({u},{v}) inside class {where[u]}"
-            )
+    clash = mg.intra_class_edge(classes)
+    if clash is not None:
+        u, v, c = clash
+        raise InvalidPartitionError(
+            f"partition is not proper: edge ({u},{v}) inside class {c}"
+        )
 
     k = len(classes)
-    degrees = mg.weighted_degrees()
     total = mg.edge_multiplicity_total()
 
-    class_degs = []
-    for c, cls in enumerate(classes):
-        degs = {degrees[v] for v in cls}
-        if len(degs) != 1:
+    class_degs = mg.class_degrees(classes)
+    for c, d in enumerate(class_degs):
+        if d is None:
             return _refuse(f"degrees not uniform within class {c}", k)
-        class_degs.append(degs.pop())
     sizes = [len(cls) for cls in classes]
 
     if (2 * total) % k != 0:
@@ -372,22 +370,16 @@ def characterize_bipartite(graph) -> CharacterizationVerdict:
     graphs.
     """
     mg = as_multigraph(graph)
-    if mg.n == 0:
-        return _refuse("empty graph")
-    if not mg.is_connected():
-        return _refuse("disconnected")
-    if mg.n == 1:
-        return _single_vertex_verdict()
+    verdict = _trivial_verdict(mg)
+    if verdict is not None:
+        return verdict
     sides = mg.bipartition()
     if sides is None:
         raise InvalidInputError("graph is not bipartite")
-    degrees = mg.weighted_degrees()
-    per_side = []
-    for c, side in enumerate(sides):
-        degs = {degrees[v] for v in side}
-        if len(degs) != 1:
+    per_side = mg.class_degrees(sides)
+    for c, d in enumerate(per_side):
+        if d is None:
             return _refuse(f"degrees not uniform within bipartition side {c}", 2)
-        per_side.append(degs.pop())
     total = mg.edge_multiplicity_total()
     return _accept(
         2,
@@ -516,13 +508,16 @@ def _catalog_groups(n: int) -> Iterator[GroupTable]:
         for p in parts[1:]:
             group = make_direct_product(group, make_cyclic(p))
         yield group
-    if n >= 4 and n % 2 == 0:
+    # no entry repeats an earlier one up to isomorphism: D4 = Z2xZ2,
+    # SD8 = Z2xZ4, S3 = D6 and A3 = Z3 are left out; every other
+    # semidihedral order, 8k for k >= 2, is a distinct group
+    if n >= 6 and n % 2 == 0:
         yield make_dihedral(n // 2)
     if n % 4 == 0 and n >= 8:
         yield make_generalized_quaternion(n // 4)
-    if n % 8 == 0:
+    if n % 8 == 0 and n >= 16:
         yield make_semidihedral(n // 8)
-    for m in range(3, 9):
+    for m in range(4, 9):
         if math.factorial(m) == n:
             yield make_symmetric(m)
         if math.factorial(m) == 2 * n:

@@ -27,7 +27,6 @@ from .errors import (
     GGraphError,
     InvalidMatrixError,
     NotAGeneratingSetError,
-    SizeLimitError,
 )
 from .ggraph import build_ggraph, predicted_stats
 from .infinite import affine_ball, sl2z_ball
@@ -145,30 +144,14 @@ def load_graph_input(path: str) -> Multigraph:
 def cmd_build(args) -> int:
     from .groups import make_gen_sequence
 
-    try:
-        group = parse_group_spec(args.group)
-    except (ValueError, GGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        tokens = split_generator_list(args.gens)
-        elements = [resolve_generator(group, tok) for tok in tokens]
-        seq = make_gen_sequence(group, elements)
-    except NotAGeneratingSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GENERATING
-    except (ValueError, GGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    try:
-        gg = build_ggraph(group, seq)
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    group = parse_group_spec(args.group)
+    tokens = split_generator_list(args.gens)
+    elements = [resolve_generator(group, tok) for tok in tokens]
+    seq = make_gen_sequence(group, elements)
+    gg = build_ggraph(group, seq)
     stats = predicted_stats(group, seq)
     mg = gg.to_multigraph()
-    degrees = mg.weighted_degrees()
+    class_degrees = mg.class_degrees()
 
     print(f"group {args.group} (order {group.order}), "
           f"generators {', '.join(gg.gen_labels)}")
@@ -176,40 +159,30 @@ def cmd_build(args) -> int:
           f"{'vertices':>9} {'predicted':>9} {'degree':>7} {'predicted':>9}")
     for c in range(gg.k):
         lo, hi = gg.class_offsets[c], gg.class_offsets[c + 1]
-        degs = sorted({degrees[v] for v in range(lo, hi)})
-        shown = degs[0] if len(degs) == 1 else "mixed"
+        shown = "mixed" if class_degrees[c] is None else class_degrees[c]
         print(f"{c:>5} {gg.gen_labels[c]:>12} {gg.gen_orders[c]:>5} "
               f"{hi - lo:>9} {stats.class_vertex_counts[c]:>9} "
               f"{shown!s:>7} {stats.class_degrees[c]:>9}")
-    total = sum(m for _, _, m in gg.edges)
     print(f"vertices: {gg.vertex_count} (predicted {stats.vertex_count});  "
-          f"edge multiplicity: {total} "
+          f"edge multiplicity: {mg.edge_multiplicity_total()} "
           f"(predicted {stats.edge_multiplicity_total})")
 
     if args.out:
         doc = gio.document_from_ggraph(gg, list(group.labels), args.group)
-        try:
-            if args.format == "json":
-                gio.write_document(doc, args.out)
-            elif args.format == "dot":
-                gio.export_dot(doc, args.out)
-            else:
-                Path(args.out).write_text(
-                    gio.format_edge_list(mg), encoding="utf-8"
-                )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        if args.format == "json":
+            gio.write_document(doc, args.out)
+        elif args.format == "dot":
+            gio.export_dot(doc, args.out)
+        else:
+            Path(args.out).write_text(
+                gio.format_edge_list(mg), encoding="utf-8"
+            )
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        mg = load_graph_input(args.input)
-    except (OSError, ValueError, GGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    mg = load_graph_input(args.input)
     report = structure_report(mg)
     family = recognize_family(mg) if mg.n <= 64 else None
     print(f"vertices: {mg.n}  edge multiplicity: {mg.edge_multiplicity_total()}")
@@ -239,15 +212,11 @@ def _parse_partition(text: str) -> list[list[int]]:
 
 
 def cmd_characterize(args) -> int:
-    try:
-        mg = load_graph_input(args.input)
-        partition = _parse_partition(args.partition) if args.partition else None
-        if partition is None and mg.classes:
-            partition = mg.classes if args.use_classes else None
-        verdict = characterize(mg, partition)
-    except (OSError, ValueError, GGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    mg = load_graph_input(args.input)
+    partition = _parse_partition(args.partition) if args.partition else None
+    if partition is None and mg.classes:
+        partition = mg.classes if args.use_classes else None
+    verdict = characterize(mg, partition)
     print(f"status: {verdict.status}")
     if verdict.status == ACCEPT:
         print(f"k: {verdict.k}")
@@ -271,19 +240,15 @@ def _fixed(value: float) -> str:
 def cmd_spectrum(args) -> int:
     from .spectral import adjacency_from_multigraph, matrix_csv, spectrum
 
+    mg = load_graph_input(args.input)
     try:
-        mg = load_graph_input(args.input)
-        try:
-            adj = adjacency_from_multigraph(mg)
-        except InvalidMatrixError:
-            # non-contiguous partition headers: blocks are only cosmetic here
-            plain = mg.copy()
-            plain.classes = None
-            adj = adjacency_from_multigraph(plain)
-        report = spectrum(adj)
-    except (OSError, ValueError, GGraphError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        adj = adjacency_from_multigraph(mg)
+    except InvalidMatrixError:
+        # non-contiguous partition headers: blocks are only cosmetic here
+        plain = mg.copy()
+        plain.classes = None
+        adj = adjacency_from_multigraph(plain)
+    report = spectrum(adj)
     payload = {
         "dimension": report.dimension,
         "eigenvalues": [
@@ -298,54 +263,33 @@ def cmd_spectrum(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    try:
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        if args.matrix_out:
-            Path(args.matrix_out).write_text(matrix_csv(adj), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    if args.matrix_out:
+        Path(args.matrix_out).write_text(matrix_csv(adj), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_infinite(args) -> int:
-    try:
-        if args.group == "sl2z":
-            ball = sl2z_ball(args.radius)
-        elif args.group == "affine":
-            ball = affine_ball(args.radius)
-        else:
-            print(f"error: unknown infinite group {args.group!r}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    except GGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    grow = sl2z_ball if args.group == "sl2z" else affine_ball
+    ball = grow(args.radius)
     interior = sum(1 for v in ball.vertices if v.interior)
     print(f"{args.group} ball radius {ball.radius}: "
           f"{ball.vertex_count} vertices ({interior} interior), "
           f"{len(ball.edges)} distinct edges")
     if args.out:
-        try:
-            gio.write_document(gio.document_from_ball(ball), args.out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        gio.write_document(gio.document_from_ball(ball), args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-        if text.lstrip().startswith("{"):
-            doc = gio.loads(text)
-        else:
-            doc = gio.document_from_multigraph(gio.parse_edge_list(text))
-        gio.export_dot(doc, args.out)
-    except (OSError, ValueError, GGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    text = Path(args.input).read_text(encoding="utf-8")
+    if text.lstrip().startswith("{"):
+        doc = gio.loads(text)
+    else:
+        doc = gio.document_from_multigraph(gio.parse_edge_list(text))
+    gio.export_dot(doc, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -400,9 +344,21 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exit-code boundary for every error it raises.
+
+    ArithmeticError is bad input too: the spectrum's eigenvalue consistency
+    checks raise it.
+    """
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NotAGeneratingSetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_GENERATING
+    except (OSError, ValueError, ArithmeticError, GGraphError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def entry() -> None:

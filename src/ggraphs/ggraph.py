@@ -8,11 +8,12 @@ edge counts always count multiplicity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NotAGeneratingSetError, SizeLimitError
-from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph
+from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph, weighted_degrees
 
 # groups loads numpy, so it is imported inside the functions that use a group
 if TYPE_CHECKING:
@@ -46,7 +47,6 @@ class GGraph:
         "edges",
         "class_offsets",
         "vertex_count",
-        "_class_of",
     )
 
     def __init__(
@@ -69,24 +69,18 @@ class GGraph:
             offsets.append(offsets[-1] + len(part))
         self.class_offsets = tuple(offsets)
         self.vertex_count = offsets[-1]
-        class_of = []
-        for c, part in enumerate(partitions):
-            class_of.extend([c] * len(part))
-        self._class_of = tuple(class_of)
 
     def class_of(self, v: int) -> int:
-        return self._class_of[v]
+        if not 0 <= v < self.vertex_count:
+            raise IndexError(f"vertex {v} out of range")
+        return bisect_right(self.class_offsets, v) - 1
 
     def coset_of(self, v: int) -> Coset:
-        c = self._class_of[v]
+        c = self.class_of(v)
         return self.partitions[c][v - self.class_offsets[c]]
 
     def weighted_degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for u, v, m in self.edges:
-            deg[u] += m
-            deg[v] += m
-        return deg
+        return weighted_degrees(self.vertex_count, self.edges)
 
     def natural_partition(self) -> list[list[int]]:
         return [
@@ -95,11 +89,7 @@ class GGraph:
         ]
 
     def to_multigraph(self) -> Multigraph:
-        mg = Multigraph(self.vertex_count)
-        for u, v, m in self.edges:
-            mg.add_edge(u, v, m)
-        mg.classes = self.natural_partition()
-        return mg
+        return Multigraph(self.vertex_count, self.natural_partition(), self.edges)
 
     def __repr__(self) -> str:
         total = sum(m for _, _, m in self.edges)

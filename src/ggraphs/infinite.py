@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import InvalidParameterError, SizeLimitError
-from .multigraph import Multigraph
+from .multigraph import Multigraph, weighted_degrees
 
 INFINITE = math.inf
 
@@ -109,21 +109,17 @@ class BallGraph:
         return len(self.vertices)
 
     def weighted_degrees(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for u, v, m in self.edges:
-            deg[u] += m
-            deg[v] += m
-        return deg
+        return weighted_degrees(len(self.vertices), self.edges)
+
+    def class_members(self) -> list[list[int]]:
+        """Vertex ids of class 0 and of class 1, each in id order."""
+        return [
+            [i for i, vert in enumerate(self.vertices) if vert.class_id == c]
+            for c in (0, 1)
+        ]
 
     def to_multigraph(self) -> Multigraph:
-        mg = Multigraph(len(self.vertices))
-        for u, v, m in self.edges:
-            mg.add_edge(u, v, m)
-        by_class: dict[int, list[int]] = {}
-        for i, vert in enumerate(self.vertices):
-            by_class.setdefault(vert.class_id, []).append(i)
-        mg.classes = [by_class.get(c, []) for c in sorted(by_class)]
-        return mg
+        return Multigraph(len(self.vertices), self.class_members(), self.edges)
 
     def __repr__(self) -> str:
         return (

@@ -100,14 +100,16 @@ class GraphDocument:
         return sum(len(part["vertices"]) for part in self.partitions)
 
     def to_multigraph(self) -> Multigraph:
-        mg = Multigraph(self.vertex_count())
-        for e in self.edges:
-            mg.add_edge(e["u"], e["v"], e["multiplicity"])
+        classes = None
         if self.kind in ("ggraph", "ball") or len(self.partitions) > 1:
-            mg.classes = [
+            classes = [
                 [v["id"] for v in part["vertices"]] for part in self.partitions
             ]
-        return mg
+        return Multigraph(
+            self.vertex_count(),
+            classes,
+            ((e["u"], e["v"], e["multiplicity"]) for e in self.edges),
+        )
 
     def total_multiplicity(self) -> int:
         return sum(e["multiplicity"] for e in self.edges)
@@ -163,25 +165,15 @@ def document_from_ggraph(
 
 
 def document_from_multigraph(mg: Multigraph) -> GraphDocument:
-    if mg.classes:
-        partitions = [
-            {
-                "label": None,
-                "gen_order": None,
-                "vertices": [{"id": v, "coset_labels": None} for v in cls],
-            }
-            for cls in mg.classes
-        ]
-    else:
-        partitions = [
-            {
-                "label": None,
-                "gen_order": None,
-                "vertices": [
-                    {"id": v, "coset_labels": None} for v in range(mg.n)
-                ],
-            }
-        ]
+    """A plain document; an unpartitioned graph is one class of all vertices."""
+    partitions = [
+        {
+            "label": None,
+            "gen_order": None,
+            "vertices": [{"id": v, "coset_labels": None} for v in cls],
+        }
+        for cls in mg.classes or [range(mg.n)]
+    ]
     edges = [
         {"u": u, "v": v, "multiplicity": m}
         for (u, v), m in sorted(mg.edges.items())
@@ -190,13 +182,10 @@ def document_from_multigraph(mg: Multigraph) -> GraphDocument:
 
 
 def document_from_ball(ball: BallGraph) -> GraphDocument:
-    by_class: dict[int, list[int]] = {0: [], 1: []}
-    for i, vert in enumerate(ball.vertices):
-        by_class[vert.class_id].append(i)
     partitions = []
-    for class_id in (0, 1):
+    for class_id, members in enumerate(ball.class_members()):
         vertices = []
-        for i in by_class[class_id]:
+        for i in members:
             vert = ball.vertices[i]
             vertices.append(
                 {
@@ -264,16 +253,13 @@ def parse_edge_list(text: str) -> Multigraph:
             raise InvalidInputError(f"line {lineno}: loops are not allowed")
         edges.append((u, v, m))
         max_vertex = max(max_vertex, u, v)
-    mg = Multigraph(max_vertex + 1)
-    for u, v, m in edges:
-        mg.add_edge(u, v, m)
+    mg = Multigraph(max_vertex + 1, classes or None, edges)
     if classes:
         covered = sorted(v for cls in classes for v in cls)
         if covered != list(range(mg.n)):
             raise InvalidInputError(
                 "partition headers must cover every vertex exactly once"
             )
-        mg.classes = classes
     return mg
 
 
@@ -304,7 +290,7 @@ def to_dot(doc: GraphDocument) -> str:
     members when available.  A total multiplicity above MULTIPLICITY_LIMIT
     is refused before any line is built.
     """
-    units = sum(e["multiplicity"] for e in doc.edges)
+    units = doc.total_multiplicity()
     if units > MULTIPLICITY_LIMIT:
         raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
     lines = ["graph coset_graph {", "  node [style=filled];"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidParameterError, SizeLimitError
 
@@ -12,15 +12,30 @@ VERTEX_LIMIT = 100_000
 MULTIPLICITY_LIMIT = 1_000_000
 
 
+def weighted_degrees(n: int, triples: Iterable[tuple[int, int, int]]) -> list[int]:
+    """Multiplicity-weighted degrees of vertices ``0..n-1`` from (u, v, m) edges."""
+    deg = [0] * n
+    for u, v, m in triples:
+        deg[u] += m
+        deg[v] += m
+    return deg
+
+
 class Multigraph:
     """Undirected multigraph on vertices ``0..n-1`` with integer multiplicities.
 
     ``classes`` optionally records a vertex partition (used when the graph
-    came from a coset construction or an annotated edge list).  ``n`` is
-    bounded at VERTEX_LIMIT, so no input can size a graph past it.
+    came from a coset construction or an annotated edge list).  ``edges``
+    are ``(u, v, m)`` triples, added through add_edge.  ``n`` is bounded at
+    VERTEX_LIMIT, so no input can size a graph past it.
     """
 
-    def __init__(self, n: int, classes: Optional[list[list[int]]] = None):
+    def __init__(
+        self,
+        n: int,
+        classes: Optional[list[list[int]]] = None,
+        edges: Iterable[tuple[int, int, int]] = (),
+    ):
         if n < 0:
             raise InvalidParameterError("vertex count must be >= 0")
         if n > VERTEX_LIMIT:
@@ -28,6 +43,8 @@ class Multigraph:
         self.n = n
         self.edges: dict[tuple[int, int], int] = {}
         self.classes = classes
+        for u, v, m in edges:
+            self.add_edge(u, v, m)
 
     def add_edge(self, u: int, v: int, mult: int = 1) -> None:
         if u == v:
@@ -50,11 +67,46 @@ class Multigraph:
         return len(self.edges)
 
     def weighted_degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for (u, v), m in self.edges.items():
-            deg[u] += m
-            deg[v] += m
-        return deg
+        return weighted_degrees(self.n, ((u, v, m) for (u, v), m in self.edges.items()))
+
+    def class_degrees(
+        self,
+        classes: Optional[Sequence[Sequence[int]]] = None,
+        degrees: Optional[list[int]] = None,
+    ) -> list[Optional[int]]:
+        """The one weighted degree of each class, or None where it varies.
+
+        ``classes`` defaults to the stored partition and ``degrees`` to
+        weighted_degrees(); a caller that already has the degrees passes them.
+        """
+        if classes is None:
+            classes = self.classes
+        if degrees is None:
+            degrees = self.weighted_degrees()
+        out: list[Optional[int]] = []
+        for cls in classes:
+            seen = {degrees[v] for v in cls}
+            out.append(seen.pop() if len(seen) == 1 else None)
+        return out
+
+    def intra_class_edge(
+        self, classes: Optional[Sequence[Sequence[int]]] = None
+    ) -> Optional[tuple[int, int, int]]:
+        """The first edge ``(u, v, class)`` inside one class, or None.
+
+        ``classes`` defaults to the stored partition and must cover every
+        endpoint.
+        """
+        if classes is None:
+            classes = self.classes
+        where = {}
+        for c, cls in enumerate(classes):
+            for v in cls:
+                where[v] = c
+        for u, v in self.edges:
+            if where[u] == where[v]:
+                return u, v, where[u]
+        return None
 
     def neighbor_lists(self) -> list[list[tuple[int, int]]]:
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -109,10 +161,9 @@ class Multigraph:
 
     def relabel(self, perm: list[int]) -> "Multigraph":
         """New graph with vertex v renamed perm[v]; classes are dropped."""
-        out = Multigraph(self.n)
-        for (u, v), m in self.edges.items():
-            out.add_edge(perm[u], perm[v], m)
-        return out
+        return Multigraph(
+            self.n, edges=((perm[u], perm[v], m) for (u, v), m in self.edges.items())
+        )
 
     def copy(self) -> "Multigraph":
         out = Multigraph(self.n, classes=[list(c) for c in self.classes] if self.classes else None)

@@ -519,3 +519,62 @@ def test_catalog_builds_each_abelian_group_once():
     assert abelian(9) == ["Z9", "Z3xZ3"]
     # one per partition of 6 (the exponents of 2^6)
     assert len(abelian(64)) == 11
+
+
+def _order_histogram(group):
+    from collections import Counter
+
+    from ggraphs.groups import element_order
+
+    counts = Counter(element_order(group, x) for x in range(group.order))
+    return tuple(sorted(counts.items()))
+
+
+def test_catalog_entries_differ_in_element_order_histograms():
+    # isomorphic groups share a histogram; a repeated entry would make
+    # witness_search build and scan the same graphs twice
+    from ggraphs.characterize import _catalog_groups
+
+    for n in range(1, 65):
+        histograms = [_order_histogram(g) for g in _catalog_groups(n)]
+        assert len(set(histograms)) == len(histograms), n
+
+
+def test_catalog_keeps_every_family_member_up_to_isomorphism():
+    # every member of every family the catalog draws from, SD8, D4, S3 and
+    # A3 included, has an entry with its histogram: leaving out a twin must
+    # not leave out a distinct group
+    import math
+
+    from ggraphs.characterize import _catalog_groups
+    from ggraphs.groups import (
+        make_alternating,
+        make_dihedral,
+        make_generalized_quaternion,
+        make_semidihedral,
+        make_symmetric,
+    )
+
+    for n in range(1, 65):
+        family = []
+        if n >= 4 and n % 2 == 0:
+            family.append(make_dihedral(n // 2))
+        if n >= 8 and n % 4 == 0:
+            family.append(make_generalized_quaternion(n // 4))
+        if n % 8 == 0:
+            family.append(make_semidihedral(n // 8))
+        for m in range(3, 9):
+            if math.factorial(m) == n:
+                family.append(make_symmetric(m))
+            if math.factorial(m) == 2 * n:
+                family.append(make_alternating(m))
+        catalog = {_order_histogram(g) for g in _catalog_groups(n)}
+        for group in family:
+            assert _order_histogram(group) in catalog, group.family_tag
+
+
+def test_witness_k2_12_includes_semidihedral():
+    # SD24 = Z4 x S3 is no other catalog entry of order 24
+    target = complete_bipartite(2, 12)
+    hits = witness_search(characterize(target), target, all_matches=True)
+    assert "SD24" in {group.family_tag for group, _ in hits}

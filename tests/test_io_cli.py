@@ -55,6 +55,36 @@ def test_plain_document_round_trip():
     assert dumps(loads(dumps(doc))) == dumps(doc)
 
 
+VIEW_CASES = (
+    [("ggraph", name) for name in cat.CATALOG_NAMES]
+    + [("sl2z", r) for r in (0, 1, 3)]
+    + [("affine", r) for r in (0, 2, 7)]
+    + [("plain", (7, 3))]
+)
+
+
+def _view_and_document(kind, arg):
+    if kind == "ggraph":
+        group, _, gg = cat.fixture(arg)
+        return gg, document_from_ggraph(gg, list(group.labels))
+    if kind in ("sl2z", "affine"):
+        ball = sl2z_ball(arg) if kind == "sl2z" else affine_ball(arg)
+        return ball, document_from_ball(ball)
+    mg = turan_graph(*arg)
+    return mg, document_from_multigraph(mg)
+
+
+@pytest.mark.parametrize("kind, arg", VIEW_CASES)
+def test_views_documents_and_core_carry_one_graph(kind, arg):
+    view, doc = _view_and_document(kind, arg)
+    core = view.to_multigraph()
+    assert view.weighted_degrees() == core.weighted_degrees()
+    back = loads(dumps(doc)).to_multigraph()
+    assert back.n == core.n
+    assert back.edges == core.edges
+    assert back.classes == core.classes
+
+
 def test_document_rejects_bad_schema():
     with pytest.raises(InvalidInputError):
         loads(json.dumps({"schema_version": "2", "kind": "plain"}))
