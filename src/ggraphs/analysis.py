@@ -42,10 +42,10 @@ def analyze(gg: GGraph) -> StructureReport:
 
 def structure_report(mg: Multigraph) -> StructureReport:
     degrees = mg.weighted_degrees()
-    connected = mg.is_connected()
+    sides, components = mg.traverse()
+    connected = components <= 1
     eulerian = connected and all(d % 2 == 0 for d in degrees)
 
-    sides = mg.bipartition()
     bipartite = sides is not None
     biregular = False
     biregular_degrees = None

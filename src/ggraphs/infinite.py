@@ -146,64 +146,50 @@ def _grow_ball(radius: int, identity, generators, kind: str) -> BallGraph:
     """
     subgroups = [_cyclic_subgroup(gen, identity) for gen in generators]
 
-    def coset(class_id: int, through):
-        members = sorted((h * through).key() for h in subgroups[class_id])
-        return tuple(members)
+    def coset(class_id: int, through) -> tuple:
+        members = (h * through for h in subgroups[class_id])
+        return tuple(sorted(members, key=lambda e: e.key()))
 
     id_by_key: dict[tuple[int, tuple], int] = {}
-    vertices: list[tuple[int, tuple, int]] = []  # (class, members, dist)
+    vertices: list[tuple[int, tuple, int]] = []  # (class, members sorted by key, dist)
     queue = deque()
     for class_id in (0, 1):
         members = coset(class_id, identity)
-        id_by_key[(class_id, members[0])] = len(vertices)
+        id_by_key[(class_id, members[0].key())] = len(vertices)
         vertices.append((class_id, members, 0))
         queue.append(len(vertices) - 1)
-
-    elem_from_key = {}
-
-    def remember(members_keys, raw_elements):
-        for k, e in zip(members_keys, raw_elements):
-            elem_from_key[k] = e
-
-    # Seed the key->element map from the two identity cosets.
-    for class_id in (0, 1):
-        raws = sorted(
-            (h * identity for h in subgroups[class_id]), key=lambda e: e.key()
-        )
-        remember([e.key() for e in raws], raws)
 
     edges: dict[tuple[int, int], int] = {}
     while queue:
         vid = queue.popleft()
         class_id, members, dist = vertices[vid]
         other = 1 - class_id
+        # neighbour cosets by their first key: distinct cosets are disjoint
+        neighbor_members: dict[tuple, tuple] = {}
         neighbor_mult: dict[tuple, int] = {}
-        for key in members:
-            elem = elem_from_key[key]
-            n_members_raw = sorted(
-                (h * elem for h in subgroups[other]), key=lambda e: e.key()
-            )
-            n_keys = tuple(e.key() for e in n_members_raw)
-            remember(n_keys, n_members_raw)
-            neighbor_mult[n_keys] = neighbor_mult.get(n_keys, 0) + 1
-        for n_keys in sorted(neighbor_mult):
-            lookup = (other, n_keys[0])
+        for elem in members:
+            n_members = coset(other, elem)
+            key = n_members[0].key()
+            neighbor_members[key] = n_members
+            neighbor_mult[key] = neighbor_mult.get(key, 0) + 1
+        for key in sorted(neighbor_mult):
+            lookup = (other, key)
             if lookup in id_by_key:
                 nid = id_by_key[lookup]
             elif dist + 1 <= radius:
                 nid = len(vertices)
                 id_by_key[lookup] = nid
-                vertices.append((other, n_keys, dist + 1))
+                vertices.append((other, neighbor_members[key], dist + 1))
                 queue.append(nid)
             else:
                 continue
             a, b = (vid, nid) if vid < nid else (nid, vid)
-            edges[(a, b)] = neighbor_mult[n_keys]
+            edges[(a, b)] = neighbor_mult[key]
 
     out_vertices = [
         BallVertex(
             class_id=class_id,
-            elements=members,
+            elements=tuple(e.key() for e in members),
             interior=dist < radius,
             distance=dist,
         )

@@ -82,13 +82,8 @@ def are_isomorphic(a, b) -> bool:
 class _Canonicalizer:
     def __init__(self, mg: Multigraph):
         self.n = mg.n
-        self.adj = [[0] * mg.n for _ in range(mg.n)]
-        for (u, v), m in mg.edges.items():
-            self.adj[u][v] = m
-            self.adj[v][u] = m
-        self.neighbors = [
-            tuple(w for w in range(mg.n) if self.adj[v][w]) for v in range(mg.n)
-        ]
+        self.edges = mg.edges
+        self.adj = mg.adjacency()
         self.best: tuple | None = None
         self.best_labeling: list[int] | None = None
         self.automorphisms: list[tuple[int, ...]] = []
@@ -99,10 +94,7 @@ class _Canonicalizer:
         return self.best
 
     def _initial_colors(self) -> list[int]:
-        keys = [
-            tuple(sorted(self.adj[v][w] for w in self.neighbors[v]))
-            for v in range(self.n)
-        ]
+        keys = [tuple(sorted(row.values())) for row in self.adj]
         ranked = {k: i for i, k in enumerate(sorted(set(keys)))}
         return [ranked[k] for k in keys]
 
@@ -112,11 +104,8 @@ class _Canonicalizer:
         # under vertex relabeling.
         while True:
             sigs = [
-                (
-                    colors[v],
-                    tuple(sorted((colors[w], self.adj[v][w]) for w in self.neighbors[v])),
-                )
-                for v in range(self.n)
+                (colors[v], tuple(sorted((colors[w], m) for w, m in row.items())))
+                for v, row in enumerate(self.adj)
             ]
             ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
             new = [ranked[s] for s in sigs]
@@ -154,9 +143,9 @@ class _Canonicalizer:
         row_v = self.adj[v]
         for u in tried:
             row_u = self.adj[u]
-            if all(
-                row_u[w] == row_v[w] for w in range(self.n) if w != u and w != v
-            ):
+            if {w: m for w, m in row_u.items() if w != v} == {
+                w: m for w, m in row_v.items() if w != u
+            }:
                 return True
         return False
 
@@ -175,13 +164,9 @@ class _Canonicalizer:
         for pos, v in enumerate(order):
             position[v] = pos
         relabeled = []
-        for u in range(self.n):
-            for w in self.neighbors[u]:
-                if u < w:
-                    a, b = position[u], position[w]
-                    if a > b:
-                        a, b = b, a
-                    relabeled.append((a, b, self.adj[u][w]))
+        for (u, w), m in self.edges.items():
+            a, b = position[u], position[w]
+            relabeled.append((a, b, m) if a < b else (b, a, m))
         enc = tuple(sorted(relabeled))
         if self.best is None or enc < self.best:
             self.best = enc
@@ -216,24 +201,17 @@ def recognize_family(graph) -> FamilyTag:
         return FamilyTag(COMPLETE, (n,))
 
     degrees = mg.weighted_degrees()
-    if (
-        all_simple
-        and n >= 3
-        and all(d == 2 for d in degrees)
-        and mg.is_connected()
-    ):
+    sides, components = mg.traverse()
+    connected = components == 1
+    if all_simple and n >= 3 and all(d == 2 for d in degrees) and connected:
         return FamilyTag(CYCLE, (n,))
 
-    if mg.is_connected() and len(mults) == 1:
-        sides = mg.bipartition()
-        if sides is not None and sides[1]:
-            a, b = len(sides[0]), len(sides[1])
-            mult = next(iter(mults))
-            if mg.distinct_edge_count() == a * b and mult in (1, 2):
-                kind = (
-                    COMPLETE_BIPARTITE if mult == 1 else DOUBLE_EDGED_COMPLETE_BIPARTITE
-                )
-                return FamilyTag(kind, (min(a, b), max(a, b)))
+    if connected and len(mults) == 1 and sides is not None and sides[1]:
+        a, b = len(sides[0]), len(sides[1])
+        mult = next(iter(mults))
+        if mg.distinct_edge_count() == a * b and mult in (1, 2):
+            kind = COMPLETE_BIPARTITE if mult == 1 else DOUBLE_EDGED_COMPLETE_BIPARTITE
+            return FamilyTag(kind, (min(a, b), max(a, b)))
 
     multipartite = _complete_multipartite_sizes(mg)
     if multipartite is not None:
@@ -250,7 +228,7 @@ def recognize_family(graph) -> FamilyTag:
         and 3 <= d <= 6
         and all(deg == d for deg in degrees)
         and mg.distinct_edge_count() == d * (1 << (d - 1))
-        and mg.bipartition() is not None
+        and sides is not None
         and canonical_form(mg).edges == canonical_form(hypercube_graph(d)).edges
     ):
         return FamilyTag(HYPERCUBE, (d,))
@@ -263,10 +241,7 @@ def _complete_multipartite_sizes(mg: Multigraph) -> list[int] | None:
     if set(mg.edges.values()) - {1}:
         return None
     n = mg.n
-    adjacency = [set() for _ in range(n)]
-    for u, v in mg.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+    adjacency = mg.adjacency()
     assigned = [-1] * n
     classes: list[list[int]] = []
     for v in range(n):

@@ -108,31 +108,51 @@ class Multigraph:
                 return u, v, where[u]
         return None
 
-    def neighbor_lists(self) -> list[list[tuple[int, int]]]:
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+    def adjacency(self) -> list[dict[int, int]]:
+        """Per vertex, a dict from each neighbour to the edge multiplicity.
+
+        Built from ``edges`` on every call, since callers may change it.
+        """
+        adj: list[dict[int, int]] = [{} for _ in range(self.n)]
         for (u, v), m in self.edges.items():
-            out[u].append((v, m))
-            out[v].append((u, m))
-        for lst in out:
-            lst.sort()
-        return out
+            adj[u][v] = m
+            adj[v][u] = m
+        return adj
+
+    def traverse(self) -> tuple[Optional[tuple[list[int], list[int]]], int]:
+        """One breadth-first search: the two sides and the component count.
+
+        Each component is searched from its lowest vertex, in id order, and
+        a vertex's side is the parity of its distance from that vertex.  The
+        sides are None when an edge joins one side to itself (an odd cycle).
+        """
+        adj = self.adjacency()
+        side = [-1] * self.n
+        components = 0
+        two_sided = True
+        for start in range(self.n):
+            if side[start] != -1:
+                continue
+            components += 1
+            side[start] = 0
+            queue = deque([start])
+            while queue:
+                u = queue.popleft()
+                other = 1 - side[u]
+                for v in adj[u]:
+                    if side[v] == -1:
+                        side[v] = other
+                        queue.append(v)
+                    elif side[v] != other:
+                        two_sided = False
+        if not two_sided:
+            return None, components
+        side0 = [v for v in range(self.n) if side[v] == 0]
+        side1 = [v for v in range(self.n) if side[v] == 1]
+        return (side0, side1), components
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = self.neighbor_lists()
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        return self.traverse()[1] <= 1
 
     def bipartition(self) -> Optional[tuple[list[int], list[int]]]:
         """Two-coloring by BFS, or None if an odd cycle exists.
@@ -140,24 +160,7 @@ class Multigraph:
         For a connected graph the split is unique up to swapping sides; the
         side containing vertex 0 comes first.
         """
-        color = [-1] * self.n
-        adj = self.neighbor_lists()
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v, _ in adj[u]:
-                    if color[v] == -1:
-                        color[v] = 1 - color[u]
-                        queue.append(v)
-                    elif color[v] == color[u]:
-                        return None
-        side0 = [v for v in range(self.n) if color[v] == 0]
-        side1 = [v for v in range(self.n) if color[v] == 1]
-        return side0, side1
+        return self.traverse()[0]
 
     def relabel(self, perm: list[int]) -> "Multigraph":
         """New graph with vertex v renamed perm[v]; classes are dropped."""
