@@ -7,10 +7,12 @@ accepted iff some proper k-coloring has uniform degree n_i and size m_i per
 class with m_i * n_i = 2|E|/k, every n_i/(k-1) integral, and
 |G| = 2|E|/(k(k-1)) integral.  Edge counts always include multiplicity.
 
-One backtracker, ``_proper_coloring``, does all the coloring search: it
-finds the chromatic number and, given the class size each degree requires,
-the conditioned partition.  Every node it visits is charged to one budget
-(``node_budget``); when that runs out the verdict is UNDETERMINED.
+One iterative backtracker, ``_proper_coloring``, does all the coloring
+search: it finds the chromatic number and, given the class size each degree
+requires, the conditioned partition.  A node is every partial assignment it
+enters, the empty one and the complete ones (leaves) included; each is
+charged to one budget (``node_budget``), and when that runs out the verdict
+is UNDETERMINED.
 
 Accepted verdicts carry recovered parameters and an order-constraints
 presentation string.  The presentation lists only the generator orders; it
@@ -73,13 +75,10 @@ class _BudgetExceeded(Exception):
 
 
 class _Budget:
+    """The search nodes left; ``_proper_coloring`` counts them down."""
+
     def __init__(self, nodes: int):
         self.left = nodes
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise _BudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,15 @@ def _greedy_clique(masks: list[int], degrees: list[int]) -> int:
     return best
 
 
-def _has_proper_coloring(mg: Multigraph, k: int, budget: _Budget) -> bool:
+def _has_proper_coloring(
+    mg: Multigraph, k: int, budget: _Budget, two_colorable: bool,
+    masks: list[int], degrees: list[int],
+) -> bool:
+    """Whether ``mg`` has a proper k-coloring.
+
+    ``two_colorable`` is whether its traversal found two sides, and
+    ``masks`` and ``degrees`` are its adjacency masks and weighted degrees.
+    """
     if k <= 0:
         return mg.n == 0
     if k == 1:
@@ -116,57 +123,83 @@ def _has_proper_coloring(mg: Multigraph, k: int, budget: _Budget) -> bool:
     if k >= mg.n:
         return True
     if k == 2:
-        return mg.bipartition() is not None
-    return _proper_coloring(mg, k, budget) is not None
+        return two_colorable
+    return _proper_coloring(masks, degrees, k, budget) is not None
 
 
 def _proper_coloring(
-    mg: Multigraph, k: int, budget: _Budget,
+    masks: list[int], degrees: list[int], k: int, budget: _Budget,
     required_size: Optional[dict[int, int]] = None,
 ) -> Optional[list[list[int]]]:
     """Classes of the first proper k-coloring found, or None.
 
-    Vertices are colored in (-degree, id) order, each into an open class or
-    the next new one.  With ``required_size`` the coloring must also use all
-    k classes, each of one degree d and exactly ``required_size[d]`` vertices:
-    a vertex then also conflicts with every vertex of another degree.
+    ``masks[v]`` has a bit per neighbour of v and ``degrees[v]`` is its
+    weighted degree.  Vertices are colored in (-degree, id) order, each into
+    an open class or the next new one.  With ``required_size`` the coloring
+    must also use all k classes, each of one degree d and exactly
+    ``required_size[d]`` vertices: a vertex then also conflicts with every
+    vertex of another degree.
+
+    The depth-first search keeps its stack in lists indexed by position in
+    that order: position i holds class ``chosen[i]``, and ``opened_at[i]``
+    classes were open before it.  Every partial assignment entered, the
+    empty one and the complete ones included, is one node of ``budget``.
     """
-    n = mg.n
-    conflicts = _adjacency_masks(mg)
-    degrees = mg.weighted_degrees()
+    n = len(masks)
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    cap = [0] * n  # cap[v]: the most vertices a class may hold once v joins it; 0: no cap
+    bits = [1 << v for v in order]
+    clashes = [masks[v] for v in order]
+    # caps[i]: the most vertices a class may hold once position i joins it; 0: no cap
+    caps = [0] * n
     if required_size is not None:
         same_degree: dict[int, int] = {}
         for v, d in enumerate(degrees):
             same_degree[d] = same_degree.get(d, 0) | 1 << v
         everyone = (1 << n) - 1
-        conflicts = [m | everyone ^ same_degree[d] for m, d in zip(conflicts, degrees)]
-        cap = [required_size[d] for d in degrees]
+        clashes = [m | everyone ^ same_degree[degrees[v]] for m, v in zip(clashes, order)]
+        caps = [required_size[degrees[v]] for v in order]
     class_masks = [0] * k
+    chosen = [0] * n
+    opened_at = [0] * n
 
-    def assign(idx: int, opened: int) -> bool:
-        budget.spend()
-        if idx == n:
-            return required_size is None or opened == k and all(
-                m.bit_count() == required_size[degrees[(m & -m).bit_length() - 1]]
-                for m in class_masks
-            )
-        v = order[idx]
-        bit, clash, full = 1 << v, conflicts[v], cap[v]
-        for c in range(min(opened + 1, k)):
-            members = class_masks[c]
-            if members & clash or full and members.bit_count() >= full:
+    left = budget.left - 1  # the root, the empty assignment
+    i = c = opened = 0  # position, first class to try there, classes open
+    while left >= 0:
+        if i < n:
+            clash, full = clashes[i], caps[i]
+            top = opened + 1 if opened < k else k
+            while c < top:
+                members = class_masks[c]
+                if not (members & clash or full and members.bit_count() >= full):
+                    break
+                c += 1
+            if c < top:
+                class_masks[c] = members | bits[i]
+                chosen[i] = c
+                opened_at[i] = opened
+                if c == opened:
+                    opened += 1
+                i += 1
+                c = 0
+                left -= 1
                 continue
-            class_masks[c] |= bit
-            if assign(idx + 1, max(opened, c + 1)):
-                return True
-            class_masks[c] &= ~bit
-        return False
-
-    if not assign(0, 0):
-        return None
-    return [[v for v in range(n) if m >> v & 1] for m in class_masks]
+        elif required_size is None or opened == k and all(
+            m.bit_count() == required_size[degrees[(m & -m).bit_length() - 1]]
+            for m in class_masks
+        ):
+            budget.left = left
+            return [[v for v in range(n) if m >> v & 1] for m in class_masks]
+        # no class fits at position i: undo position i - 1, try its next class
+        if i == 0:
+            budget.left = left
+            return None
+        i -= 1
+        c = chosen[i]
+        class_masks[c] ^= bits[i]
+        opened = opened_at[i]
+        c += 1
+    budget.left = left
+    raise _BudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +230,14 @@ def _undetermined(reason: str) -> CharacterizationVerdict:
     return CharacterizationVerdict(status=UNDETERMINED, refusal_reason=reason)
 
 
-def _trivial_verdict(mg: Multigraph) -> Optional[CharacterizationVerdict]:
-    """The verdict on an empty, disconnected or one-vertex graph, else None."""
+def _trivial_verdict(mg: Multigraph, components: int) -> Optional[CharacterizationVerdict]:
+    """The verdict on an empty, disconnected or one-vertex graph, else None.
+
+    ``components`` is the component count from ``mg.traverse()``.
+    """
     if mg.n == 0:
         return _refuse("empty graph")
-    if not mg.is_connected():
+    if components > 1:
         return _refuse("disconnected")
     if mg.n == 1:
         # A one-vertex graph is the coset graph of any cyclic group with one
@@ -229,21 +265,24 @@ def characterize(
     verdict is UNDETERMINED rather than a guess.
     """
     mg = as_multigraph(graph)
-    verdict = _trivial_verdict(mg)
+    sides, components = mg.traverse()
+    verdict = _trivial_verdict(mg, components)
     if verdict is not None:
         return verdict
 
     budget = _Budget(node_budget)
+    two_colorable = sides is not None
     try:
         if partition is not None:
-            return _characterize_with_partition(mg, partition, budget)
-        return _characterize_search(mg, budget)
+            return _characterize_with_partition(mg, partition, budget, two_colorable)
+        return _characterize_search(mg, budget, two_colorable)
     except _BudgetExceeded:
         return _undetermined("search budget exhausted")
 
 
 def _characterize_with_partition(
-    mg: Multigraph, partition: Sequence[Sequence[int]], budget: _Budget
+    mg: Multigraph, partition: Sequence[Sequence[int]], budget: _Budget,
+    two_colorable: bool,
 ) -> CharacterizationVerdict:
     classes = [list(cls) for cls in partition]
     if any(not cls for cls in classes):
@@ -261,7 +300,8 @@ def _characterize_with_partition(
     k = len(classes)
     total = mg.edge_multiplicity_total()
 
-    class_degs = mg.class_degrees(classes)
+    degrees = mg.weighted_degrees()
+    class_degs = mg.class_degrees(classes, degrees)
     for c, d in enumerate(class_degs):
         if d is None:
             return _refuse(f"degrees not uniform within class {c}", k)
@@ -280,7 +320,8 @@ def _characterize_with_partition(
     if verdict.status != ACCEPT:
         return verdict
     if mg.n <= SEARCH_VERTEX_BOUND and k >= 2:
-        if _has_proper_coloring(mg, k - 1, budget):
+        masks = _adjacency_masks(mg)
+        if _has_proper_coloring(mg, k - 1, budget, two_colorable, masks, degrees):
             return _refuse(
                 f"graph is {k - 1}-colorable, so it is not exactly {k}-chromatic", k
             )
@@ -308,7 +349,9 @@ def _verdict_from_parameters(
     return _accept(k, sizes, class_degs, group_order, orders)
 
 
-def _characterize_search(mg: Multigraph, budget: _Budget) -> CharacterizationVerdict:
+def _characterize_search(
+    mg: Multigraph, budget: _Budget, two_colorable: bool
+) -> CharacterizationVerdict:
     if mg.n > SEARCH_VERTEX_BOUND:
         return _undetermined(
             f"{mg.n} vertices exceeds the {SEARCH_VERTEX_BOUND}-vertex search bound"
@@ -322,7 +365,7 @@ def _characterize_search(mg: Multigraph, budget: _Budget) -> CharacterizationVer
         )
     k = None
     for candidate in range(lower, SEARCH_K_BOUND + 1):
-        if _has_proper_coloring(mg, candidate, budget):
+        if _has_proper_coloring(mg, candidate, budget, two_colorable, masks, degrees):
             k = candidate
             break
     if k is None:
@@ -345,7 +388,7 @@ def _characterize_search(mg: Multigraph, budget: _Budget) -> CharacterizationVer
             return _refuse(f"class size {share}/{d} not integral", k)
         required_size[d] = share // d
 
-    classes = _proper_coloring(mg, k, budget, required_size)
+    classes = _proper_coloring(masks, degrees, k, budget, required_size)
     if classes is None:
         return _refuse(
             "no chromatic partition has uniform class degrees and balanced sizes",
@@ -364,10 +407,10 @@ def characterize_bipartite(graph) -> CharacterizationVerdict:
     graphs.
     """
     mg = as_multigraph(graph)
-    verdict = _trivial_verdict(mg)
+    sides, components = mg.traverse()
+    verdict = _trivial_verdict(mg, components)
     if verdict is not None:
         return verdict
-    sides = mg.bipartition()
     if sides is None:
         raise InvalidInputError("graph is not bipartite")
     per_side = mg.class_degrees(sides)

@@ -301,7 +301,7 @@ def test_proper_coloring_matches_brute_force():
     import random
     from itertools import product
 
-    from ggraphs.characterize import _Budget, _proper_coloring
+    from ggraphs.characterize import _adjacency_masks, _Budget, _proper_coloring
 
     rng = random.Random(5)
     found = {False: 0, True: 0}
@@ -327,13 +327,145 @@ def test_proper_coloring_matches_brute_force():
             required_size = {degrees[cls[0]]: len(cls) for cls in rng.choice(uniform)}
         for required in (None, required_size):
             expected = any(_coloring_holds(graph, c, k, required) for c in colorings)
-            classes = _proper_coloring(graph, k, _Budget(10**6), required)
+            classes = _proper_coloring(
+                _adjacency_masks(graph), degrees, k, _Budget(10**6), required
+            )
             assert (classes is not None) == expected
             if classes is not None:
                 assert _coloring_holds(graph, classes, k, required)
             found[required is not None] += expected
     # both searches met colorings to find, and inputs with none
     assert 50 <= found[False] < 150 and 20 <= found[True] < 150
+
+
+def _recursive_coloring(masks, degrees, k, budget, required_size=None):
+    """The recursive backtracker that ``_proper_coloring`` unrolled into one
+    loop, kept as its reference: one call per node, charged on entry."""
+    from ggraphs.characterize import _BudgetExceeded
+
+    n = len(masks)
+    conflicts = list(masks)
+    order = sorted(range(n), key=lambda v: (-degrees[v], v))
+    cap = [0] * n
+    if required_size is not None:
+        same_degree = {}
+        for v, d in enumerate(degrees):
+            same_degree[d] = same_degree.get(d, 0) | 1 << v
+        everyone = (1 << n) - 1
+        conflicts = [m | everyone ^ same_degree[d] for m, d in zip(conflicts, degrees)]
+        cap = [required_size[d] for d in degrees]
+    class_masks = [0] * k
+
+    def assign(idx, opened):
+        budget.left -= 1
+        if budget.left < 0:
+            raise _BudgetExceeded
+        if idx == n:
+            return required_size is None or opened == k and all(
+                m.bit_count() == required_size[degrees[(m & -m).bit_length() - 1]]
+                for m in class_masks
+            )
+        v = order[idx]
+        bit, clash, full = 1 << v, conflicts[v], cap[v]
+        for c in range(min(opened + 1, k)):
+            members = class_masks[c]
+            if members & clash or full and members.bit_count() >= full:
+                continue
+            class_masks[c] |= bit
+            if assign(idx + 1, max(opened, c + 1)):
+                return True
+            class_masks[c] &= ~bit
+        return False
+
+    if not assign(0, 0):
+        return None
+    return [[v for v in range(n) if m >> v & 1] for m in class_masks]
+
+
+def test_iterative_coloring_matches_recursive_reference():
+    # same classes, same nodes spent, and the same node on which a cut
+    # budget runs out
+    import random
+
+    from ggraphs.characterize import (
+        _adjacency_masks,
+        _Budget,
+        _BudgetExceeded,
+        _proper_coloring,
+    )
+
+    def run(kernel, masks, degrees, k, nodes, required):
+        budget = _Budget(nodes)
+        try:
+            return kernel(masks, degrees, k, budget, required), budget.left
+        except _BudgetExceeded:
+            return "exhausted", budget.left
+
+    rng = random.Random(11)
+    nodes = 3000
+    outcomes = {(found, sized): 0 for found in (False, True) for sized in (False, True)}
+    for _ in range(320):
+        n, k = rng.randint(1, 16), rng.randint(2, 5)
+        p = rng.random()
+        graph = Multigraph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    graph.add_edge(u, v, rng.choice([1, 1, 2]))
+        masks, degrees = _adjacency_masks(graph), graph.weighted_degrees()
+        per_degree = {d: degrees.count(d) for d in degrees}
+        required_size = {d: max(1, m // rng.randint(1, k)) for d, m in per_degree.items()}
+        for required in (None, required_size):
+            expected = run(_recursive_coloring, masks, degrees, k, nodes, required)
+            assert run(_proper_coloring, masks, degrees, k, nodes, required) == expected
+            classes, left = expected
+            if classes == "exhausted":
+                continue  # compared above, with no finished count to cut
+            outcomes[classes is not None, required is not None] += 1
+            spent = nodes - left
+            assert run(_proper_coloring, masks, degrees, k, spent, required) == (classes, 0)
+            for cut in (spent - 1, rng.randrange(spent)):
+                for kernel in (_recursive_coloring, _proper_coloring):
+                    assert run(kernel, masks, degrees, k, cut, required) == ("exhausted", -1)
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("make", [octahedron_graph, icosahedron_graph])
+def test_search_builds_masks_and_degrees_once(monkeypatch, make):
+    import importlib
+
+    module = importlib.import_module("ggraphs.characterize")
+    counts = {"masks": 0, "degrees": 0}
+    build_masks, build_degrees = module._adjacency_masks, Multigraph.weighted_degrees
+
+    def counted_masks(mg):
+        counts["masks"] += 1
+        return build_masks(mg)
+
+    def counted_degrees(mg):
+        counts["degrees"] += 1
+        return build_degrees(mg)
+
+    monkeypatch.setattr(module, "_adjacency_masks", counted_masks)
+    monkeypatch.setattr(Multigraph, "weighted_degrees", counted_degrees)
+    characterize(make())
+    assert counts == {"masks": 1, "degrees": 1}
+
+
+@pytest.mark.parametrize("decide", [characterize, characterize_bipartite])
+def test_bipartite_decisions_traverse_once(monkeypatch, decide):
+    calls = []
+    traverse = Multigraph.traverse
+
+    def counted(mg):
+        calls.append(mg.n)
+        return traverse(mg)
+
+    monkeypatch.setattr(Multigraph, "traverse", counted)
+    verdict = decide(complete_bipartite(3, 5))
+    assert verdict.status == ACCEPT and verdict.k == 2
+    assert calls == [8]
+
 
 def test_random_round_trips():
     import random
