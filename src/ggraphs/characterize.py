@@ -9,10 +9,15 @@ class with m_i * n_i = 2|E|/k, every n_i/(k-1) integral, and
 
 One iterative backtracker, ``_proper_coloring``, does all the coloring
 search: it finds the chromatic number and, given the class size each degree
-requires, the conditioned partition.  A node is every partial assignment it
-enters, the empty one and the complete ones (leaves) included; each is
-charged to one budget (``node_budget``), and when that runs out the verdict
-is UNDETERMINED.
+requires, the conditioned partition.  It branches in DSATUR order (Brélaz,
+"New methods to color the vertices of a graph", CACM 22(4), 1979): next the
+uncolored vertex whose neighbours use the most classes, ties going to the
+first in (-degree, id) order.  It numbers the classes it returns by their
+first member in that order, so a verdict does not depend on which valid
+coloring was found.  A node is every partial assignment it enters, the
+empty one and the complete ones (leaves) included; each is charged to one
+budget (``node_budget``), and when that runs out the verdict is
+UNDETERMINED.
 
 Accepted verdicts carry recovered parameters and an order-constraints
 presentation string.  The presentation lists only the generator orders; it
@@ -134,69 +139,110 @@ def _proper_coloring(
     """Classes of the first proper k-coloring found, or None.
 
     ``masks[v]`` has a bit per neighbour of v and ``degrees[v]`` is its
-    weighted degree.  Vertices are colored in (-degree, id) order, each into
-    an open class or the next new one.  With ``required_size`` the coloring
-    must also use all k classes, each of one degree d and exactly
-    ``required_size[d]`` vertices: a vertex then also conflicts with every
-    vertex of another degree.
+    weighted degree.  The search works on positions in (-degree, id) order.
+    It branches on the uncolored vertex whose neighbours already use the
+    most classes (DSATUR, Brélaz 1979), ties going to the lowest position,
+    and tries each open class, then the next new one.  With ``required_size``
+    the coloring must also use all k classes, each of one degree d and
+    exactly ``required_size[d]`` vertices: a vertex then also conflicts with
+    every vertex of another degree, and such conflicts count as neighbours.
 
-    The depth-first search keeps its stack in lists indexed by position in
-    that order: position i holds class ``chosen[i]``, and ``opened_at[i]``
-    classes were open before it.  Every partial assignment entered, the
-    empty one and the complete ones included, is one node of ``budget``.
+    Classes are numbered by their first member in (-degree, id) order, empty
+    classes last.  Every class of a conditioned coloring has one degree, so
+    its class degrees, and the sizes the caps fix, then come out in one
+    order whichever coloring the search finds.
+
+    The saturation of each position is a bit-sliced count in three planes,
+    capped at 7 (the search path never opens more than 6 classes).  Each
+    depth saves the touched mask it changes and the planes on one stack, so
+    a backtrack restores them without recounting.  Every partial assignment
+    entered, the empty one and the complete ones included, is one node of
+    ``budget``.
     """
     n = len(masks)
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    bits = [1 << v for v in order]
-    clashes = [masks[v] for v in order]
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    clashes = []
+    for v in order:
+        clash, rest = 0, masks[v]
+        while rest:
+            low = rest & -rest
+            clash |= 1 << position[low.bit_length() - 1]
+            rest ^= low
+        clashes.append(clash)
+    everyone = (1 << n) - 1
     # caps[i]: the most vertices a class may hold once position i joins it; 0: no cap
     caps = [0] * n
     if required_size is not None:
         same_degree: dict[int, int] = {}
-        for v, d in enumerate(degrees):
-            same_degree[d] = same_degree.get(d, 0) | 1 << v
-        everyone = (1 << n) - 1
-        clashes = [m | everyone ^ same_degree[degrees[v]] for m, v in zip(clashes, order)]
-        caps = [required_size[degrees[v]] for v in order]
+        for i, v in enumerate(order):
+            same_degree[degrees[v]] = same_degree.get(degrees[v], 0) | 1 << i
+        for i, v in enumerate(order):
+            clashes[i] |= everyone ^ same_degree[degrees[v]]
+            caps[i] = required_size[degrees[v]]
     class_masks = [0] * k
-    chosen = [0] * n
-    opened_at = [0] * n
+    touched = [0] * k  # touched[c]: the positions that clash with a member of class c
+    # stack[j]: (position, class, classes open before, touched of that class
+    # and the count planes before) for the assignment at depth j
+    stack: list[tuple[int, ...]] = [()] * n
+    # bit-sliced count, capped at 7, of the open classes each position clashes with
+    ones = twos = fours = 0
 
     left = budget.left - 1  # the root, the empty assignment
-    i = c = opened = 0  # position, first class to try there, classes open
+    free = everyone
+    j = c = opened = i = 0  # depth, first class to try there, classes open, position
     while left >= 0:
-        if i < n:
-            clash, full = clashes[i], caps[i]
+        if j < n:
+            if c == 0:  # a new depth: branch on the most saturated free position
+                most = free
+                if most & fours:
+                    most &= fours
+                if most & twos:
+                    most &= twos
+                if most & ones:
+                    most &= ones
+                i = (most & -most).bit_length() - 1
+            bit, full = 1 << i, caps[i]
             top = opened + 1 if opened < k else k
             while c < top:
-                members = class_masks[c]
-                if not (members & clash or full and members.bit_count() >= full):
+                if not (touched[c] & bit or full and class_masks[c].bit_count() >= full):
                     break
                 c += 1
             if c < top:
-                class_masks[c] = members | bits[i]
-                chosen[i] = c
-                opened_at[i] = opened
+                t = touched[c]
+                stack[j] = (i, c, opened, t, ones, twos, fours)
+                touched[c] = t | clashes[i]
+                more = clashes[i] & ~(t | ones & twos & fours)
+                carry = ones & more
+                ones ^= more
+                fours |= twos & carry
+                twos ^= carry
+                class_masks[c] |= bit
+                free ^= bit
                 if c == opened:
                     opened += 1
-                i += 1
+                j += 1
                 c = 0
                 left -= 1
                 continue
         elif required_size is None or opened == k and all(
-            m.bit_count() == required_size[degrees[(m & -m).bit_length() - 1]]
-            for m in class_masks
+            m.bit_count() == caps[(m & -m).bit_length() - 1] for m in class_masks
         ):
             budget.left = left
-            return [[v for v in range(n) if m >> v & 1] for m in class_masks]
-        # no class fits at position i: undo position i - 1, try its next class
-        if i == 0:
+            firsts = sorted(class_masks, key=lambda m: (m & -m) or 1 << n)
+            return [sorted(order[i] for i in range(n) if m >> i & 1) for m in firsts]
+        # no class fits at depth j: undo depth j - 1, try its next class
+        if j == 0:
             budget.left = left
             return None
-        i -= 1
-        c = chosen[i]
-        class_masks[c] ^= bits[i]
-        opened = opened_at[i]
+        j -= 1
+        i, c, opened, t, ones, twos, fours = stack[j]
+        touched[c] = t
+        bit = 1 << i
+        class_masks[c] ^= bit
+        free |= bit
         c += 1
     budget.left = left
     raise _BudgetExceeded
