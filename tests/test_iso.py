@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from ggraphs import (
     canonical_form,
     recognize_family,
 )
+from ggraphs.cli import main
+from ggraphs.io import read_edge_list
 from ggraphs.iso import (
     COMPLETE,
     COMPLETE_BIPARTITE,
@@ -17,7 +20,9 @@ from ggraphs.iso import (
     HYPERCUBE,
     OCTAHEDRON,
     TURAN,
+    SIZE_BOUND,
     UNKNOWN,
+    _Canonicalizer,
 )
 from ggraphs.multigraph import (
     Multigraph,
@@ -32,6 +37,14 @@ from ggraphs.multigraph import (
     star_graph,
     turan_graph,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # Hypothesis is optional; without it the property test is left out
+    st = None
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 INVARIANCE_FIXTURES = [
     ("c6", lambda: cycle_graph(6)),
@@ -196,3 +209,193 @@ def test_isomorphism_agrees_with_vf2_oracle():
         assert are_isomorphic(g, h) == oracle(g, h)
         other = random_multigraph(n, rng.choice([0.2, 0.5]), rng.choice([1, 2]))
         assert are_isomorphic(g, other) == oracle(g, other)
+
+
+# ---------------------------------------------------------------------------
+# the canonical-labeling search
+# ---------------------------------------------------------------------------
+
+
+def _full_refine(adj, colors):
+    """Reference refinement: every round re-ranks every vertex by its
+    (color, sorted neighbour (color, multiplicity) pairs) signature."""
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted((colors[w], m) for w, m in row.items())))
+            for v, row in enumerate(adj)
+        ]
+        ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranked[s] for s in sigs]
+        if len(ranked) == len(set(colors)):
+            return new
+        colors = new
+
+
+def _ranks(colors):
+    ranked = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [ranked[c] for c in colors]
+
+
+def _assert_cells(colors, cells):
+    # each id is the start of its cell, and cells list their members in order
+    at = 0
+    for c in sorted(cells):
+        assert c == at
+        assert cells[c] == [v for v, d in enumerate(colors) if d == c]
+        at += len(cells[c])
+    assert at == len(colors)
+
+
+if st is not None:
+
+    @st.composite
+    def _multigraphs(draw):
+        # a circulant keeps the root partition coarse, so refinement takes
+        # several rounds; a few extra edges then break its symmetry
+        n = draw(st.integers(1, 40))
+        g = Multigraph(n)
+        for jump in draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3)):
+            m = draw(st.integers(1, 3))
+            for u in range(n):
+                w = (u + jump) % n
+                if u != w:
+                    g.edges[(min(u, w), max(u, w))] = m
+        vertex = st.integers(0, n - 1)
+        extra = st.tuples(vertex, vertex, st.integers(1, 3))
+        for u, w, m in draw(st.lists(extra, max_size=4)):
+            if u != w:
+                g.edges[(min(u, w), max(u, w))] = m
+        return g
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_multigraphs())
+    def test_refinement_matches_full_reranking(graph):
+        search = _Canonicalizer(graph)
+        adj = graph.adjacency()
+        want = _full_refine(adj, search._initial_colors())
+        colors, cells = search._root()
+        assert _ranks(colors) == want
+        _assert_cells(colors, cells)
+        for v in range(graph.n):
+            if len(cells[colors[v]]) == 1:
+                continue
+            # the old search gave v the odd color just above its cell's
+            branched = [2 * c for c in want]
+            branched[v] += 1
+            child, child_cells = search._branch(colors, cells, v)
+            assert _ranks(child) == _full_refine(adj, branched)
+            _assert_cells(child, child_cells)
+        # branching left the parent partition as it was
+        assert _ranks(colors) == want
+        _assert_cells(colors, cells)
+
+
+def _copies(graph, k):
+    out = Multigraph(graph.n * k)
+    for c in range(k):
+        for (u, v), m in graph.edges.items():
+            out.add_edge(u + c * graph.n, v + c * graph.n, m)
+    return out
+
+
+def _rook(k):
+    """K_k x K_k: (a, b) ~ (c, d) when a == c or b == d."""
+    g = Multigraph(k * k)
+    for x in range(k * k):
+        for y in range(x + 1, k * k):
+            if x // k == y // k or x % k == y % k:
+                g.add_edge(x, y)
+    return g
+
+
+@pytest.mark.parametrize("name,build", [
+    ("32K2", lambda: _copies(complete_graph(2), 32)),
+    ("8C8", lambda: _copies(cycle_graph(8), 8)),
+    ("K8xK8", lambda: _rook(8)),
+    ("Q6", lambda: hypercube_graph(6)),
+])
+def test_symmetric_64_vertex_graphs_need_few_search_nodes(name, build, monkeypatch):
+    # Without orbit pruning and backjumps the first three never ended.  Over
+    # 30 relabelings the search takes at most 560, 187, 117 and 40 nodes.
+    monkeypatch.setattr("ggraphs.iso.NODE_BUDGET", 1_000)
+    graph = build()
+    base = canonical_form(graph).edges
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(graph.n))
+        rng.shuffle(perm)
+        assert canonical_form(graph.relabel(perm)).edges == base
+
+
+def _orbits(n, generators):
+    orbit = list(range(n))
+
+    def find(v):
+        while orbit[v] != v:
+            v = orbit[v]
+        return v
+
+    for g in generators:
+        for v in range(n):
+            a, b = find(v), find(g[v])
+            orbit[max(a, b)] = min(a, b)
+    classes = {}
+    for v in range(n):
+        classes.setdefault(find(v), []).append(v)
+    return list(classes.values())
+
+
+_ORBIT_GRAPHS = list(cat.CATALOG_NAMES) + sorted(p.name for p in FIXDIR.glob("*.edges"))
+
+
+@pytest.mark.parametrize("name", _ORBIT_GRAPHS)
+def test_generator_orbits_are_the_vf2_automorphism_orbits(name):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher, numerical_edge_match
+
+    if name.endswith(".edges"):
+        graph = read_edge_list(FIXDIR / name)
+    else:
+        graph = cat.ggraph_of(name).to_multigraph()
+    if graph.n > SIZE_BOUND:
+        pytest.skip("above the canonical-form bound")
+    generators = canonical_form(graph).generators
+    # every generator is an automorphism, so its orbits lie inside Aut's ...
+    for g in generators:
+        assert sorted(g) == list(range(graph.n))
+        for (u, v), m in graph.edges.items():
+            assert graph.multiplicity(g[u], g[v]) == m
+
+    def marked(v):
+        # v first, so VF2 starts its match there
+        out = nx.Graph()
+        out.add_node(v, mark=True)
+        out.add_nodes_from((u for u in range(graph.n) if u != v), mark=False)
+        for (a, b), m in graph.edges.items():
+            out.add_edge(a, b, mult=m)
+        return out
+
+    # ... and VF2 finds no automorphism joining two of them
+    reps = [orbit[0] for orbit in _orbits(graph.n, generators)]
+    for i, a in enumerate(reps):
+        for b in reps[i + 1:]:
+            assert not GraphMatcher(
+                marked(a), marked(b),
+                node_match=lambda x, y: x["mark"] == y["mark"],
+                edge_match=numerical_edge_match("mult", 1),
+            ).is_isomorphic()
+
+
+def test_node_budget_raises_too_large(monkeypatch):
+    monkeypatch.setattr("ggraphs.iso.NODE_BUDGET", 5)
+    with pytest.raises(TooLargeError, match="budget of 5 search nodes"):
+        canonical_form(hypercube_graph(4))
+
+
+def test_analyze_exits_2_when_the_node_budget_runs_out(monkeypatch, capsys):
+    # analyze names the cube through canonical_form (recognize_family)
+    monkeypatch.setattr("ggraphs.iso.NODE_BUDGET", 1)
+    assert main(["analyze", str(FIXDIR / "cube.edges")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: canonical labeling exceeds its budget")
+    assert "Traceback" not in err
