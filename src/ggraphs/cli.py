@@ -15,7 +15,6 @@ Exit codes: 0 success (ACCEPT for characterize), 2 bad input or I/O failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -261,10 +260,10 @@ def cmd_spectrum(args) -> int:
         "energy_at_least_order": report.energy_at_least_order,
         "energy_at_upper_bound": report.energy_at_upper_bound,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    text = gio.dumps(payload)
+    print(text, end="")
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     if args.matrix_out:
         Path(args.matrix_out).write_text(matrix_csv(adj), encoding="utf-8")
     return EXIT_OK

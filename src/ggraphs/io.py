@@ -7,8 +7,8 @@ The JSON schema (version "1") covers three kinds of graph:
 * ``ball``: a radius-bounded ball; vertices carry an ``interior`` flag.
 
 Vertex ids are dense from 0 and every edge record has u < v.  Serialization
-is canonical (sorted keys, fixed indentation), so equal documents produce
-identical bytes.
+is canonical: exactly ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+newline, so equal documents produce identical bytes.
 
 Edge-list text format: one ``u v [multiplicity]`` line per edge, 0-based
 vertex ids, ``#`` starts a comment.  Optional ``partition: id id ...`` header
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .errors import InvalidInputError, SizeLimitError
@@ -76,6 +77,8 @@ class GraphDocument:
         return doc
 
     def _validate(self) -> None:
+        """Each record is checked once; only a record that fails is looked
+        at again, to name what is wrong with it."""
         ids = []
         for part in self.partitions:
             if not isinstance(part, dict) or not isinstance(part.get("vertices"), list):
@@ -87,11 +90,17 @@ class GraphDocument:
                     isinstance(labels, list) and all(isinstance(x, str) for x in labels)
                 ):
                     raise InvalidInputError(f"bad coset labels in vertex {ids[-1]}")
-        if sorted(ids) != list(range(len(ids))):
+        n = len(ids)
+        if sorted(ids) != list(range(n)):
             raise InvalidInputError("vertex ids must be dense from 0")
         for e in self.edges:
+            if type(e) is dict:
+                u, v, m = e.get("u"), e.get("v"), e.get("multiplicity")
+                if (type(u) is int and type(v) is int and type(m) is int
+                        and 0 <= u < v < n and m >= 1):
+                    continue
             u, v, m = (_int_field(e, key) for key in ("u", "v", "multiplicity"))
-            if not (0 <= u < v < len(ids)):
+            if not (0 <= u < v < n):
                 raise InvalidInputError(f"bad edge record {e}")
             if m < 1:
                 raise InvalidInputError(f"bad multiplicity in {e}")
@@ -206,8 +215,86 @@ def document_from_ball(ball: BallGraph) -> GraphDocument:
     )
 
 
-def dumps(doc: GraphDocument) -> str:
-    return json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+def dumps(value) -> str:
+    """Canonical JSON of a GraphDocument (or of any JSON value): exactly
+    ``json.dumps(value, sort_keys=True, indent=2) + "\\n"``.
+
+    CPython's C encoder does not indent, so the stdlib would write every
+    document in pure Python.  Here edge and vertex records are written by
+    one template each, and every other value is written by ``json.dumps``
+    itself and re-indented to its depth.
+    """
+    if isinstance(value, GraphDocument):
+        value = value.to_dict()
+    return _encode(value, "\n") + "\n"
+
+
+_EDGE_KEYS = {"multiplicity", "u", "v"}
+_VERTEX_KEYS = {"coset_labels", "id"}
+_BALL_VERTEX_KEYS = {"coset_labels", "id", "interior"}
+
+
+def _encode(value, nl: str) -> str:
+    """``value`` as the stdlib writes it at the depth whose line break and
+    indentation is ``nl``."""
+    inner = nl + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _encode(item, inner)
+            for key, item in sorted(value.items())
+        ]) + nl + "}"
+    if type(value) is list and value:
+        return "[" + inner + ("," + inner).join(_items(value, inner)) + nl + "]"
+    # json strings hold no raw line break, so re-indenting is exact
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _items(values: list, nl: str) -> list[str]:
+    """The list items, each at indentation ``nl``."""
+    i2 = nl + "  "
+    edge = "{" + i2 + '"multiplicity": %d,' + i2 + '"u": %d,' + i2 + '"v": %d' + nl + "}"
+    out = []
+    for x in values:
+        if type(x) is dict:
+            keys = x.keys()
+            if keys == _EDGE_KEYS:
+                m, u, v = x["multiplicity"], x["u"], x["v"]
+                if type(m) is int and type(u) is int and type(v) is int:
+                    out.append(edge % (m, u, v))
+                    continue
+            elif keys == _VERTEX_KEYS or keys == _BALL_VERTEX_KEYS:
+                text = _vertex(x, nl)
+                if text is not None:
+                    out.append(text)
+                    continue
+        out.append(_encode(x, nl))
+    return out
+
+
+def _vertex(x: dict, nl: str) -> Optional[str]:
+    """A vertex record with int id, null (as in plain documents) or
+    non-empty str labels and an optional bool ``interior``; None for any
+    other record."""
+    vid, labels = x["id"], x["coset_labels"]
+    interior = x.get("interior", False)
+    if type(vid) is not int or type(interior) is not bool:
+        return None
+    i2 = nl + "  "
+    if labels is None:
+        text = "{" + i2 + '"coset_labels": null,'
+    elif type(labels) is list and labels:
+        i3 = i2 + "  "
+        try:  # encode_basestring_ascii raises TypeError on a non-str label
+            joined = ("," + i3).join(map(encode_basestring_ascii, labels))
+        except TypeError:
+            return None
+        text = "{" + i2 + '"coset_labels": [' + i3 + joined + i2 + "],"
+    else:
+        return None
+    text += i2 + '"id": %d' % vid
+    if "interior" in x:
+        text += "," + i2 + ('"interior": true' if interior else '"interior": false')
+    return text + nl + "}"
 
 
 def loads(text: str) -> GraphDocument:

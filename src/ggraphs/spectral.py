@@ -4,8 +4,9 @@ The adjacency matrix of a coset graph is integer-valued with zero diagonal
 blocks (one block per partition class); entries are edge multiplicities.
 Eigenvalues come from LAPACK's symmetric solver (``numpy.linalg.eigvalsh``)
 on the dense matrix, so exact integers enter floating point only at the
-eigen-decomposition.  Matrices are bounded at DIMENSION_LIMIT, checked before
-any matrix is allocated.
+eigen-decomposition.  Matrices are bounded at DIMENSION_LIMIT and their
+summed multiplicity at MULTIPLICITY_LIMIT, both checked before any matrix is
+allocated.
 
 Energy is the sum of absolute eigenvalues.  A graph on n vertices is
 classified HYPO when energy < n and HYPER when energy > 2n - 2, both strict;
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidMatrixError, InvalidPairError, SizeLimitError
 from .ggraph import GGraph
-from .multigraph import Multigraph
+from .multigraph import MULTIPLICITY_LIMIT, Multigraph
 
 DIMENSION_LIMIT = 2048
 GROUP_TOL = 1e-6
@@ -100,11 +101,14 @@ class MatrixDiagnostics:
 def _adjacency(n: int, edges: Sequence[tuple[int, int, int]]) -> np.ndarray:
     """The n x n multiplicity matrix of (u, v, multiplicity) triples.
 
-    The dimension is checked against DIMENSION_LIMIT before the matrix is
-    allocated.
+    The dimension is checked against DIMENSION_LIMIT and the summed
+    multiplicity against MULTIPLICITY_LIMIT before the matrix is allocated.
     """
     if n > DIMENSION_LIMIT:
         raise SizeLimitError(f"dimension {n} exceeds {DIMENSION_LIMIT}")
+    units = sum(mult for _, _, mult in edges)
+    if units > MULTIPLICITY_LIMIT:
+        raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
     m = np.zeros((n, n), dtype=np.int64)
     u, v, mult = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     m[u, v] = mult

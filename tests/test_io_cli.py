@@ -440,3 +440,30 @@ def test_cli_spectrum_unwritable_output_is_bad_input(tmp_path, capsys, option, t
     path = tmp_path if target == "directory" else tmp_path / "missing" / "x"
     assert main(["spectrum", str(FIXDIR / "cube.edges"), option, str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, total",
+    [
+        # the float eigensolver loses the zero trace on these
+        ("0 1 5000000000\n1 2 5000000000\n", 10_000_000_000),
+        # numpy cannot hold this one in an int64
+        ("0 1 100000000000000000000\n1 2 1\n", 100_000_000_000_000_000_001),
+    ],
+    ids=["trace", "int64"],
+)
+def test_cli_spectrum_refuses_past_the_multiplicity_bound(tmp_path, capsys, text, total):
+    src = tmp_path / "heavy.edges"
+    src.write_text(text, encoding="utf-8")
+    assert main(["spectrum", str(src)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: edge multiplicity {total} exceeds {MULTIPLICITY_LIMIT}\n"
+    )
+
+
+def test_cli_spectrum_prints_and_writes_the_canonical_json(tmp_path, capsys):
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", str(FIXDIR / "cube.edges"), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
+    assert out.read_text(encoding="utf-8") == printed
