@@ -29,9 +29,12 @@ graph within a catalog of standard families.
 from __future__ import annotations
 
 import math
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as _cartesian
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -519,13 +522,19 @@ def witness_search(
 ):
     """Best-effort explicit (group, generators) pair realizing the target.
 
-    Scans a catalog of standard families of the accepted group order and all
-    generating sequences matching the accepted order multiset, pruned to one
-    candidate per (order, conjugacy class).  An empty result means the
-    catalog is exhausted, not that the verdict is wrong; no catalog group is
-    larger than CLOSURE_LIMIT.
+    Scans a catalog of standard families of the accepted group order, and in
+    each group every tuple of conjugacy-class representatives whose orders
+    match the accepted orders, in order.  Each tuple spends one unit of
+    ``max_sequences``; when they run out the result is the empty one.  A
+    coset graph depends on each generator only through its cyclic subgroup,
+    so a tuple whose multiset of subgroups was already tried in the group is
+    skipped, and so is one whose graph's edge-multiplicity or distinct-degree
+    histogram, read off the subgroups' intersections, differs from the
+    target's.  Only the rest are closed, built and canonicalized.  An empty
+    result means the catalog is exhausted, not that the verdict is wrong; no
+    catalog group is larger than CLOSURE_LIMIT.
     """
-    from .groups import CLOSURE_LIMIT, conjugacy_classes, element_order, make_gen_sequence
+    from .groups import CLOSURE_LIMIT, make_gen_sequence
 
     if verdict.status != ACCEPT or not verdict.group_order or not verdict.gen_orders:
         return [] if all_matches else None
@@ -545,20 +554,25 @@ def witness_search(
     # every candidate has the target's vertex count and edge total, so the
     # canonical forms alone decide isomorphism
     target_form = canonical_form(tgt).edges
+    target_shape = (Counter(tgt.edges.values()), Counter(map(len, tgt.adjacency())))
     hits: list[tuple[GroupTable, GenSequence]] = []
     budget = max_sequences
-    for group in _catalog_groups(n_order):
-        pools: dict[int, list[int]] = {}
-        for cls in conjugacy_classes(group):
-            o = element_order(group, cls[0])
-            if o in set(wanted):
-                pools.setdefault(o, []).append(cls[0])
-        if any(o not in pools for o in wanted):
+    for entry in _catalog_groups(n_order):
+        pools = [entry.pool(o) for o in wanted]
+        if not all(pools):
             continue
-        for combo in _cartesian(*[pools[o] for o in wanted]):
+        group, subgroup, masks = entry.group, entry.subgroup, entry.masks
+        tried: set[tuple[int, ...]] = set()
+        for combo in _cartesian(*pools):
             budget -= 1
             if budget < 0:
                 return hits if all_matches else None
+            key = tuple(sorted([subgroup[x] for x in combo]))
+            if key in tried:
+                continue
+            tried.add(key)
+            if _shape(n_order, [masks[i] for i in key]) != target_shape:
+                continue
             try:
                 seq = make_gen_sequence(group, combo)
             except NotAGeneratingSetError:
@@ -573,41 +587,148 @@ def witness_search(
     return hits if all_matches else None
 
 
-def _catalog_groups(n: int) -> Iterator[GroupTable]:
+def _shape(order: int, masks: Sequence[int]) -> tuple[Counter, Counter]:
+    """Edge-multiplicity and distinct-degree histograms of a coset graph.
+
+    ``masks`` are the cyclic subgroups <s_i> of a group of ``order``
+    elements, one bit per member.  Two cosets of <s_i> and <s_j> that meet
+    share a coset of the intersection, so every edge between classes i and j
+    has the multiplicity m = |<s_i> ∩ <s_j>|, there are order/m of them, and
+    each vertex of class i meets o_i/m cosets of class j.
+    """
+    sizes = [mask.bit_count() for mask in masks]
+    edges: Counter = Counter()
+    degrees: Counter = Counter()
+    for i, (mask, size) in enumerate(zip(masks, sizes)):
+        distinct = 0
+        for j, other in enumerate(masks):
+            if j != i:
+                common = (mask & other).bit_count()
+                distinct += size // common
+                if j > i:
+                    edges[common] += order // common
+        degrees[distinct] += order // size
+    return edges, degrees
+
+
+# The catalog memo keeps the most recently used entries up to this many
+# table cells, the group order squared summed over entries (4 MiB of int32
+# tables).  A larger entry is built, used and dropped.
+CATALOG_MEMO_CELLS = 1 << 20
+_catalog_memo: OrderedDict[tuple[int, int], _CatalogEntry] = OrderedDict()
+_catalog_lock = threading.Lock()
+
+
+class _CatalogEntry:
+    """A catalog group and what ``witness_search`` reads of it.
+
+    ``orders[x]`` is the order of element x.  ``pool(o)`` lists the
+    conjugacy-class representatives of order o, in class order; its first
+    call for o also gives each of them its cyclic subgroup <x>: ``masks``
+    holds each distinct one as an int, bit y set for each member y, and
+    ``subgroup[x]`` is the index of <x> in ``masks``.
+    """
+
+    __slots__ = ("group", "orders", "subgroup", "masks", "_pools")
+
+    def __init__(self, group: GroupTable):
+        from .groups import element_orders
+
+        self.group = group
+        self.orders = element_orders(group)
+        self.subgroup: dict[int, int] = {}
+        self.masks: list[int] = []
+        self._pools: dict[int, list[int]] = {}
+
+    def pool(self, o: int) -> list[int]:
+        with _catalog_lock:
+            reps = self._pools.get(o)
+            if reps is None:
+                reps = self._pools[o] = self._fill(o)
+        return reps
+
+    def _fill(self, o: int) -> list[int]:
+        from .groups import conjugacy_classes, cyclic_subgroup
+
+        of_order = (self.orders == o).nonzero()[0].tolist()
+        reps = [cls[0] for cls in conjugacy_classes(self.group, of_order)]
+        # owner[y]: the subgroup already found that y of order o generates
+        owner: dict[int, int] = {}
+        for x in reps:
+            if x not in owner:
+                members = cyclic_subgroup(self.group, x, o)
+                for y in members[self.orders[members] == o].tolist():
+                    owner[y] = len(self.masks)
+                self.masks.append(sum(1 << y for y in members.tolist()))
+            self.subgroup[x] = owner[x]
+        return reps
+
+
+def _catalog_groups(n: int) -> Iterator[_CatalogEntry]:
+    """The catalog entries of order n, in catalog order, each built when reached.
+
+    Entries come from the memo when it holds them, and join it when built.
+    """
+    for index, make in enumerate(_catalog_makers(n)):
+        key = (n, index)
+        with _catalog_lock:
+            entry = _catalog_memo.get(key)
+            if entry is not None:
+                _catalog_memo.move_to_end(key)
+        if entry is None:
+            entry = _CatalogEntry(make())
+            if n * n <= CATALOG_MEMO_CELLS:
+                with _catalog_lock:
+                    _catalog_memo[key] = entry
+                    cells = sum(order * order for order, _ in _catalog_memo)
+                    while cells > CATALOG_MEMO_CELLS:
+                        (order, _), _ = _catalog_memo.popitem(last=False)
+                        cells -= order * order
+        yield entry
+
+
+def _catalog_makers(n: int) -> Iterator[Callable[[], GroupTable]]:
+    """A builder for each catalog group of order n, in catalog order."""
     from .groups import (
         make_alternating,
         make_cyclic,
         make_dihedral,
-        make_direct_product,
         make_generalized_quaternion,
         make_semidihedral,
         make_symmetric,
     )
 
-    yield make_cyclic(n)
+    yield partial(make_cyclic, n)
     for parts in _factorizations(n):
         # one abelian group per invariant-factor chain d1 | d2 | ...; the
         # other factorizations are isomorphic to one of these
         if any(b % a for a, b in zip(parts, parts[1:])):
             continue
-        group = make_cyclic(parts[0])
-        for p in parts[1:]:
-            group = make_direct_product(group, make_cyclic(p))
-        yield group
+        yield partial(_abelian, parts)
     # no entry repeats an earlier one up to isomorphism: D4 = Z2xZ2,
     # SD8 = Z2xZ4, S3 = D6 and A3 = Z3 are left out; every other
     # semidihedral order, 8k for k >= 2, is a distinct group
     if n >= 6 and n % 2 == 0:
-        yield make_dihedral(n // 2)
+        yield partial(make_dihedral, n // 2)
     if n % 4 == 0 and n >= 8:
-        yield make_generalized_quaternion(n // 4)
+        yield partial(make_generalized_quaternion, n // 4)
     if n % 8 == 0 and n >= 16:
-        yield make_semidihedral(n // 8)
+        yield partial(make_semidihedral, n // 8)
     for m in range(4, 9):
         if math.factorial(m) == n:
-            yield make_symmetric(m)
+            yield partial(make_symmetric, m)
         if math.factorial(m) == 2 * n:
-            yield make_alternating(m)
+            yield partial(make_alternating, m)
+
+
+def _abelian(parts: Sequence[int]) -> GroupTable:
+    """Z_d1 x Z_d2 x ... for the invariant factors ``parts``."""
+    from .groups import make_cyclic, make_direct_product
+
+    group = make_cyclic(parts[0])
+    for p in parts[1:]:
+        group = make_direct_product(group, make_cyclic(p))
+    return group
 
 
 def _factorizations(n: int, smallest: int = 2) -> Iterator[list[int]]:

@@ -569,6 +569,44 @@ def element_order(g: GroupTable, x: int) -> int:
     return t
 
 
+def element_orders(g: GroupTable) -> np.ndarray:
+    """The order of every element, as an array indexed by element.
+
+    For each divisor d of |G| in ascending order, it raises every element of
+    unknown order to the power d at once (square and multiply over index
+    arrays) and gives order d to those that reach the identity.
+    """
+    orders = np.zeros(g.order, dtype=np.intp)
+    for d in range(1, g.order + 1):
+        if g.order % d:
+            continue
+        todo = np.flatnonzero(orders == 0)
+        if not todo.size:
+            break
+        power, base, e = np.full(todo.size, g.identity), todo, d
+        while e:
+            if e & 1:
+                power = g.products(power, base)
+            e >>= 1
+            if e:
+                base = g.products(base, base)
+        orders[todo[power == g.identity]] = d
+    return orders
+
+
+def cyclic_subgroup(g: GroupTable, x: int, order: int) -> np.ndarray:
+    """The powers x^0, ..., x^(order-1) of an element x of the given order.
+
+    The list doubles at each step: x^i times x^m for the m powers so far.
+    """
+    powers = np.array([g.identity])
+    step = np.intp(x)  # x^m, m the number of powers so far
+    while powers.size < order:
+        powers = np.concatenate([powers, g.products(powers, step)])
+        step = g.products(step, step)
+    return powers[:order]
+
+
 def make_gen_sequence(g: GroupTable, elements: Sequence[int]) -> GenSequence:
     """Validate that ``elements`` generate ``g`` and cache their orders.
 
@@ -666,13 +704,19 @@ def right_cosets(g: GroupTable, s: int, gen_position: int = 0) -> list[Coset]:
     return out
 
 
-def conjugacy_classes(g: GroupTable) -> list[list[int]]:
-    """Conjugacy classes, each sorted, ordered by their minimum element."""
+def conjugacy_classes(
+    g: GroupTable, among: Optional[Iterable[int]] = None
+) -> list[list[int]]:
+    """Conjugacy classes, each sorted, ordered by their minimum element.
+
+    With ``among``, a union of classes (say every element of one order),
+    only the classes inside it.
+    """
     every = np.arange(g.order)
     inverses = np.array(g._inv)
     seen = np.zeros(g.order, dtype=bool)
     classes = []
-    for x in range(g.order):
+    for x in range(g.order) if among is None else sorted(among):
         if seen[x]:
             continue
         members = np.zeros(g.order, dtype=bool)

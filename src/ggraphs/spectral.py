@@ -6,7 +6,8 @@ Eigenvalues come from LAPACK's symmetric solver (``numpy.linalg.eigvalsh``)
 on the dense matrix, so exact integers enter floating point only at the
 eigen-decomposition.  Matrices are bounded at DIMENSION_LIMIT and their
 summed multiplicity at MULTIPLICITY_LIMIT, both checked before any matrix is
-allocated.
+allocated; ``AdjMatrix`` checks the sum again, so a matrix built by hand
+meets the same bound.
 
 Energy is the sum of absolute eigenvalues.  A graph on n vertices is
 classified HYPO when energy < n and HYPER when energy > 2n - 2, both strict;
@@ -36,7 +37,11 @@ HYPER = "HYPER"
 
 @dataclass(frozen=True, eq=False)
 class AdjMatrix:
-    """Symmetric integer adjacency matrix with partition block boundaries."""
+    """Symmetric integer adjacency matrix with partition block boundaries.
+
+    Its summed multiplicity, the sum over the upper triangle, is bounded at
+    MULTIPLICITY_LIMIT like that of every graph the package builds.
+    """
 
     matrix: np.ndarray
     block_bounds: tuple[int, ...]
@@ -49,6 +54,11 @@ class AdjMatrix:
             raise InvalidMatrixError("adjacency matrix must be symmetric")
         if np.any(np.diag(m) != 0):
             raise InvalidMatrixError("diagonal must be zero")
+        # past the bound, sum Python ints so that the sum cannot wrap
+        wide = m.size and m.max() > MULTIPLICITY_LIMIT
+        units = int((m.astype(object) if wide else m).sum()) // 2  # symmetric, zero diagonal
+        if units > MULTIPLICITY_LIMIT:
+            raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
         bounds = self.block_bounds
         if bounds[0] != 0 or bounds[-1] != m.shape[0] or list(bounds) != sorted(bounds):
             raise InvalidMatrixError("block bounds must partition the index range")

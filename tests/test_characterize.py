@@ -686,7 +686,8 @@ def test_catalog_builds_each_abelian_group_once():
     from ggraphs.characterize import _catalog_groups
 
     def abelian(n):
-        return [g.family_tag for g in _catalog_groups(n) if g.family_tag.startswith("Z")]
+        return [e.group.family_tag for e in _catalog_groups(n)
+                if e.group.family_tag.startswith("Z")]
 
     assert abelian(12) == ["Z12", "Z2xZ6"]
     assert abelian(60) == ["Z60", "Z2xZ30"]
@@ -710,7 +711,7 @@ def test_catalog_entries_differ_in_element_order_histograms():
     from ggraphs.characterize import _catalog_groups
 
     for n in range(1, 65):
-        histograms = [_order_histogram(g) for g in _catalog_groups(n)]
+        histograms = [_order_histogram(e.group) for e in _catalog_groups(n)]
         assert len(set(histograms)) == len(histograms), n
 
 
@@ -742,7 +743,7 @@ def test_catalog_keeps_every_family_member_up_to_isomorphism():
                 family.append(make_symmetric(m))
             if math.factorial(m) == 2 * n:
                 family.append(make_alternating(m))
-        catalog = {_order_histogram(g) for g in _catalog_groups(n)}
+        catalog = {_order_histogram(e.group) for e in _catalog_groups(n)}
         for group in family:
             assert _order_histogram(group) in catalog, group.family_tag
 
@@ -752,3 +753,243 @@ def test_witness_k2_12_includes_semidihedral():
     target = complete_bipartite(2, 12)
     hits = witness_search(characterize(target), target, all_matches=True)
     assert "SD24" in {group.family_tag for group, _ in hits}
+
+
+# -- witness search against its unscreened loop ------------------------------
+
+
+def _reference_witness_search(verdict, target, *, all_matches=False, max_sequences=10**6):
+    """``witness_search`` before its screen and memo: every tuple of class
+    representatives is closed, built and canonicalized, in catalog order,
+    over groups built afresh."""
+    from itertools import product
+
+    from ggraphs.characterize import _catalog_makers
+    from ggraphs.errors import NotAGeneratingSetError
+    from ggraphs.groups import (
+        CLOSURE_LIMIT,
+        conjugacy_classes,
+        element_order,
+        make_gen_sequence,
+    )
+    from ggraphs.iso import canonical_form
+    from ggraphs.multigraph import as_multigraph
+
+    if verdict.status != ACCEPT or not verdict.group_order or not verdict.gen_orders:
+        return [] if all_matches else None
+    tgt = as_multigraph(target)
+    n_order = verdict.group_order
+    wanted = tuple(sorted(verdict.gen_orders))
+    k = len(wanted)
+    expected_vertices = sum(n_order // o for o in wanted if n_order % o == 0)
+    expected_mult = k * (k - 1) // 2 * n_order
+    if n_order > CLOSURE_LIMIT or any(n_order % o for o in wanted):
+        return [] if all_matches else None
+    if expected_vertices != tgt.n or expected_mult != tgt.edge_multiplicity_total():
+        return [] if all_matches else None
+
+    target_form = canonical_form(tgt).edges
+    hits = []
+    budget = max_sequences
+    for make in _catalog_makers(n_order):
+        group = make()
+        pools = {}
+        for cls in conjugacy_classes(group):
+            o = element_order(group, cls[0])
+            if o in set(wanted):
+                pools.setdefault(o, []).append(cls[0])
+        if any(o not in pools for o in wanted):
+            continue
+        for combo in product(*[pools[o] for o in wanted]):
+            budget -= 1
+            if budget < 0:
+                return hits if all_matches else None
+            try:
+                seq = make_gen_sequence(group, combo)
+            except NotAGeneratingSetError:
+                continue
+            if canonical_form(build_ggraph(group, seq)).edges == target_form:
+                hit = (group, seq)
+                if not all_matches:
+                    return hit
+                hits.append(hit)
+                break
+    return hits if all_matches else None
+
+
+def _witness_key(result):
+    """What a witness result says, without the group object."""
+    if result is None:
+        return None
+    if isinstance(result, list):
+        return [_witness_key(hit) for hit in result]
+    group, seq = result
+    return group.family_tag, seq.positions, seq.orders
+
+
+def _assert_witness_matches_reference(verdict, target):
+    first = _witness_key(witness_search(verdict, target))
+    assert first == _witness_key(_reference_witness_search(verdict, target))
+    # a warm memo gives the same answer
+    assert _witness_key(witness_search(verdict, target)) == first
+    for all_matches in (False, True):
+        for budget in (None, 1, 5, 50):
+            kwargs = {"all_matches": all_matches}
+            if budget is not None:
+                kwargs["max_sequences"] = budget
+            assert _witness_key(witness_search(verdict, target, **kwargs)) == _witness_key(
+                _reference_witness_search(verdict, target, **kwargs)
+            ), kwargs
+
+
+WITNESS_CATALOG = [name for name in cat.CATALOG_NAMES if cat.ggraph_of(name).vertex_count <= 64]
+
+
+@pytest.mark.parametrize("name", WITNESS_CATALOG)
+def test_witness_agrees_with_reference_on_catalog(name):
+    gg = cat.ggraph_of(name)
+    _assert_witness_matches_reference(characterize(gg, gg.natural_partition()), gg)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cube", "k25", "octahedron", "rhombic_dodecahedron", "star4", "path4", "turan_13_4"],
+)
+def test_witness_agrees_with_reference_on_fixtures(name):
+    from pathlib import Path
+
+    from ggraphs.io import read_edge_list
+
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.edges"
+    graph = read_edge_list(path)
+    _assert_witness_matches_reference(characterize(graph), graph)
+
+
+def _random_coset_graph(make, k, seed):
+    """A coset graph of ``make()`` on k random generators, relabeled at random."""
+    import random
+
+    from ggraphs.errors import NotAGeneratingSetError
+    from ggraphs.groups import make_gen_sequence
+
+    rng = random.Random(seed)
+    group = make()
+    while True:
+        try:
+            seq = make_gen_sequence(group, [rng.randrange(group.order) for _ in range(k)])
+        except NotAGeneratingSetError:
+            continue
+        gg = build_ggraph(group, seq)
+        if gg.vertex_count <= 64:
+            break
+    perm = list(range(gg.vertex_count))
+    rng.shuffle(perm)
+    return Multigraph(gg.vertex_count, edges=[(perm[u], perm[v], m) for u, v, m in gg.edges])
+
+
+def _witness_groups():
+    from ggraphs.groups import (
+        make_alternating,
+        make_cyclic,
+        make_dihedral,
+        make_direct_product,
+        make_generalized_quaternion,
+        make_symmetric,
+    )
+
+    return {
+        "S4": lambda: make_symmetric(4),
+        "A4": lambda: make_alternating(4),
+        "D12": lambda: make_dihedral(6),
+        "D16": lambda: make_dihedral(8),
+        "Z12": lambda: make_cyclic(12),
+        "Z2xZ6": lambda: make_direct_product(make_cyclic(2), make_cyclic(6)),
+        "Q12": lambda: make_generalized_quaternion(3),
+        "Z4xZ4": lambda: make_direct_product(make_cyclic(4), make_cyclic(4)),
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("group", sorted(_witness_groups()))
+def test_witness_agrees_with_reference_on_random_generators(group, k):
+    for seed in range(2):
+        target = _random_coset_graph(_witness_groups()[group], k, seed)
+        _assert_witness_matches_reference(characterize(target), target)
+
+
+def test_witness_on_z10000_exhausts_its_budget_quickly():
+    # K_{2,2} with every edge 2500-fold: ACCEPT with |G| = 10000 and orders
+    # (5000, 5000).  The 2000 x 2000 generator pairs of Z10000 alone exceed
+    # the 10^6 budget; per-element order loops took 98 s here
+    import time
+
+    from ggraphs.characterize import _catalog_memo
+
+    small = complete_bipartite(3, 3)
+    witness_search(characterize(small), small)
+    kept = list(_catalog_memo)
+    target = complete_bipartite(2, 2, mult=2500)
+    verdict = characterize(target)
+    assert verdict.group_order == 10000 and verdict.gen_orders == (5000, 5000)
+    start = time.perf_counter()
+    assert witness_search(verdict, target) is None
+    assert time.perf_counter() - start < 10
+    # a group too large for the memo is built, used and dropped, and the
+    # memo keeps what it held
+    assert list(_catalog_memo) == kept
+
+
+def test_catalog_memo_stays_within_its_cell_bound():
+    # K2 with one 720-fold edge: |G| = 720 and orders (720, 720); all_matches
+    # scans all 14 catalog groups of order 720, two of which fill the memo
+    from ggraphs.characterize import CATALOG_MEMO_CELLS, _catalog_memo, _catalog_makers
+
+    target = complete_bipartite(1, 1, mult=720)
+    verdict = characterize(target)
+    assert verdict.group_order == 720
+    hits = witness_search(verdict, target, all_matches=True)
+    assert [group.family_tag for group, _ in hits] == ["Z720"]
+    assert CATALOG_MEMO_CELLS == 1 << 20
+    assert 0 < sum(order * order for order, _ in _catalog_memo) <= CATALOG_MEMO_CELLS
+    # the entries kept are the ones used last
+    assert list(_catalog_memo)[-1] == (720, len(list(_catalog_makers(720))) - 1)
+
+
+def test_catalog_memo_filled_from_threads():
+    # more threads than cores fill one cold memo at once; every call gives
+    # the sequential answer, and no subgroup is stored twice, as it would be
+    # if two threads filled one pool together
+    import sys
+    import threading
+
+    from ggraphs.characterize import _catalog_memo
+
+    targets = [
+        complete_bipartite(2, 8), complete_bipartite(3, 3), octahedron_graph(),
+        cube_graph(), rhombic_dodecahedron_graph(),
+    ]
+    jobs = [(characterize(t), t) for t in targets]
+    expected = [_witness_key(witness_search(v, t, all_matches=True)) for v, t in jobs]
+    results = {}
+
+    def work(worker):
+        results[worker] = [
+            _witness_key(witness_search(v, t, all_matches=True)) for v, t in jobs
+        ]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _catalog_memo.clear()
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == {i: expected for i in range(6)}
+            for entry in _catalog_memo.values():
+                assert len(set(entry.masks)) == len(entry.masks)
+    finally:
+        sys.setswitchinterval(switch)

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -28,8 +29,11 @@ from ggraphs.groups import (
     compose,
     conjugacy_classes,
     cycle_notation,
+    cyclic_subgroup,
+    element_orders,
     parse_cycles,
     parity,
+    subgroup_closure,
 )
 
 
@@ -416,12 +420,33 @@ def _conjugacy_reference(g):
     return classes
 
 
-@pytest.mark.parametrize(
-    "g",
-    [make_symmetric(4), make_alternating(5), make_dihedral(5),
-     make_generalized_quaternion(3), make_semidihedral(2),
-     make_direct_product(make_symmetric(3), make_cyclic(2))],
-    ids=repr,
-)
+CLASS_GROUPS = [
+    make_symmetric(4), make_alternating(5), make_dihedral(5),
+    make_generalized_quaternion(3), make_semidihedral(2),
+    make_direct_product(make_symmetric(3), make_cyclic(2)),
+]
+
+
+@pytest.mark.parametrize("g", CLASS_GROUPS, ids=repr)
 def test_conjugacy_classes_match_scalar_reference(g):
-    assert conjugacy_classes(g) == _conjugacy_reference(g)
+    classes = _conjugacy_reference(g)
+    assert conjugacy_classes(g) == classes
+    for o in {element_order(g, x) for x in range(g.order)}:
+        of_order = [x for x in range(g.order) if element_order(g, x) == o]
+        assert conjugacy_classes(g, of_order[::-1]) == [
+            cls for cls in classes if element_order(g, cls[0]) == o
+        ]
+
+
+@pytest.mark.parametrize("g", CLASS_GROUPS + [make_cyclic(10000)], ids=repr)
+def test_element_orders_and_cyclic_subgroups_match_scalar_reference(g):
+    orders = element_orders(g).tolist()
+    if g.order == 10000:
+        # the order of i in Z10000 is 10000 / gcd(i, 10000)
+        assert orders == [10000 // math.gcd(i, 10000) for i in range(10000)]
+        return
+    assert orders == [element_order(g, x) for x in range(g.order)]
+    for x in range(g.order):
+        members = cyclic_subgroup(g, x, orders[x]).tolist()
+        assert members == [g.power(x, j) for j in range(orders[x])]
+        assert sorted(members) == subgroup_closure(g, [x])

@@ -7,6 +7,7 @@ import fixture_catalog as cat
 from ggraphs import (
     InvalidMatrixError,
     InvalidPairError,
+    SizeLimitError,
     adjacency_from_multigraph,
     adjacency_matrix,
     make_cyclic,
@@ -15,7 +16,13 @@ from ggraphs import (
     matrix_diagnostics,
     spectrum,
 )
-from ggraphs.multigraph import complete_bipartite, complete_graph, cycle_graph, octahedron_graph
+from ggraphs.multigraph import (
+    MULTIPLICITY_LIMIT,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    octahedron_graph,
+)
 from ggraphs.spectral import HYPER, HYPO, NORMAL, AdjMatrix
 
 
@@ -61,6 +68,27 @@ def test_non_symmetric_matrix_rejected():
     bad[0, 1] = 1
     with pytest.raises(InvalidMatrixError):
         AdjMatrix(matrix=bad, block_bounds=(0, 1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "entry, total",
+    [(5_000_000_000, 10_000_000_000), (2**62, 2**63), (MULTIPLICITY_LIMIT // 2 + 1, None)],
+    ids=["5e9", "2^62", "just_past"],
+)
+def test_hand_built_matrix_refused_past_the_multiplicity_bound(entry, total):
+    # the path 0-1-2 with both edges `entry`-fold; before the bound was
+    # checked here, spectrum failed on the trace identity instead
+    heavy = np.zeros((3, 3), dtype=np.int64)
+    heavy[0, 1] = heavy[1, 0] = heavy[1, 2] = heavy[2, 1] = entry
+    total = 2 * entry if total is None else total
+    with pytest.raises(SizeLimitError, match=f"edge multiplicity {total} exceeds"):
+        spectrum(AdjMatrix(matrix=heavy, block_bounds=(0, 1, 2, 3)))
+
+
+def test_hand_built_matrix_at_the_multiplicity_bound_is_kept():
+    edge = np.array([[0, MULTIPLICITY_LIMIT], [MULTIPLICITY_LIMIT, 0]], dtype=np.int64)
+    report = spectrum(AdjMatrix(matrix=edge, block_bounds=(0, 1, 2)))
+    assert_spectrum(report, [(MULTIPLICITY_LIMIT, 1), (-MULTIPLICITY_LIMIT, 1)])
 
 
 def test_octahedron_spectrum():
