@@ -648,7 +648,9 @@ class _CatalogEntry:
         return reps
 
     def _fill(self, o: int) -> list[int]:
-        from .groups import conjugacy_classes, cyclic_subgroup
+        import numpy as np
+
+        from .groups import conjugacy_classes, subgroup_closure
 
         of_order = (self.orders == o).nonzero()[0].tolist()
         reps = [cls[0] for cls in conjugacy_classes(self.group, of_order)]
@@ -656,7 +658,7 @@ class _CatalogEntry:
         owner: dict[int, int] = {}
         for x in reps:
             if x not in owner:
-                members = cyclic_subgroup(self.group, x, o)
+                members = np.array(subgroup_closure(self.group, [x]))
                 for y in members[self.orders[members] == o].tolist():
                     owner[y] = len(self.masks)
                 self.masks.append(sum(1 << y for y in members.tolist()))

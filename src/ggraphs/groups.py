@@ -594,19 +594,6 @@ def element_orders(g: GroupTable) -> np.ndarray:
     return orders
 
 
-def cyclic_subgroup(g: GroupTable, x: int, order: int) -> np.ndarray:
-    """The powers x^0, ..., x^(order-1) of an element x of the given order.
-
-    The list doubles at each step: x^i times x^m for the m powers so far.
-    """
-    powers = np.array([g.identity])
-    step = np.intp(x)  # x^m, m the number of powers so far
-    while powers.size < order:
-        powers = np.concatenate([powers, g.products(powers, step)])
-        step = g.products(step, step)
-    return powers[:order]
-
-
 def make_gen_sequence(g: GroupTable, elements: Sequence[int]) -> GenSequence:
     """Validate that ``elements`` generate ``g`` and cache their orders.
 

@@ -39,8 +39,9 @@ HYPER = "HYPER"
 class AdjMatrix:
     """Symmetric integer adjacency matrix with partition block boundaries.
 
-    Its summed multiplicity, the sum over the upper triangle, is bounded at
-    MULTIPLICITY_LIMIT like that of every graph the package builds.
+    Entries are multiplicities, so none is negative, and their sum over the
+    upper triangle is bounded at MULTIPLICITY_LIMIT like that of every graph
+    the package builds.
     """
 
     matrix: np.ndarray
@@ -54,6 +55,8 @@ class AdjMatrix:
             raise InvalidMatrixError("adjacency matrix must be symmetric")
         if np.any(np.diag(m) != 0):
             raise InvalidMatrixError("diagonal must be zero")
+        if m.size and m.min() < 0:
+            raise InvalidMatrixError("multiplicities must not be negative")
         # past the bound, sum Python ints so that the sum cannot wrap
         wide = m.size and m.max() > MULTIPLICITY_LIMIT
         units = int((m.astype(object) if wide else m).sum()) // 2  # symmetric, zero diagonal

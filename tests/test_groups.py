@@ -29,11 +29,9 @@ from ggraphs.groups import (
     compose,
     conjugacy_classes,
     cycle_notation,
-    cyclic_subgroup,
     element_orders,
     parse_cycles,
     parity,
-    subgroup_closure,
 )
 
 
@@ -439,14 +437,10 @@ def test_conjugacy_classes_match_scalar_reference(g):
 
 
 @pytest.mark.parametrize("g", CLASS_GROUPS + [make_cyclic(10000)], ids=repr)
-def test_element_orders_and_cyclic_subgroups_match_scalar_reference(g):
+def test_element_orders_match_scalar_reference(g):
     orders = element_orders(g).tolist()
     if g.order == 10000:
         # the order of i in Z10000 is 10000 / gcd(i, 10000)
         assert orders == [10000 // math.gcd(i, 10000) for i in range(10000)]
         return
     assert orders == [element_order(g, x) for x in range(g.order)]
-    for x in range(g.order):
-        members = cyclic_subgroup(g, x, orders[x]).tolist()
-        assert members == [g.power(x, j) for j in range(orders[x])]
-        assert sorted(members) == subgroup_closure(g, [x])

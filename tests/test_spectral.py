@@ -85,6 +85,17 @@ def test_hand_built_matrix_refused_past_the_multiplicity_bound(entry, total):
         spectrum(AdjMatrix(matrix=heavy, block_bounds=(0, 1, 2, 3)))
 
 
+@pytest.mark.parametrize("entry", [1, 5_000_000_000], ids=["1", "5e9"])
+def test_hand_built_matrix_with_a_negative_entry_refused(entry):
+    # the path 0-1-2 with edges `entry` and -`entry`: a signed sum of zero
+    # must not let the entries past the multiplicity bound
+    signed = np.zeros((3, 3), dtype=np.int64)
+    signed[0, 1] = signed[1, 0] = entry
+    signed[1, 2] = signed[2, 1] = -entry
+    with pytest.raises(InvalidMatrixError, match="must not be negative"):
+        spectrum(AdjMatrix(matrix=signed, block_bounds=(0, 1, 2, 3)))
+
+
 def test_hand_built_matrix_at_the_multiplicity_bound_is_kept():
     edge = np.array([[0, MULTIPLICITY_LIMIT], [MULTIPLICITY_LIMIT, 0]], dtype=np.int64)
     report = spectrum(AdjMatrix(matrix=edge, block_bounds=(0, 1, 2)))
