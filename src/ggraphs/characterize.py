@@ -7,6 +7,13 @@ accepted iff some proper k-coloring has uniform degree n_i and size m_i per
 class with m_i * n_i = 2|E|/k, every n_i/(k-1) integral, and
 |G| = 2|E|/(k(k-1)) integral.  Edge counts always include multiplicity.
 
+That rule lives in one function, ``_verdict_from_parameters``, the only
+code that accepts k >= 2 classes.  ``characterize`` reaches it through the
+coloring search or through a given partition.  The paper's two special
+cases are calls into it: ``characterize_bipartite`` is the partition path on
+the two sides of the graph, and ``turan_verdict`` gives it the class sizes
+and degrees of T(n, r) without building the graph.
+
 One iterative backtracker, ``_proper_coloring``, does all the coloring
 search: it finds the chromatic number and, given the class size each degree
 requires, the conditioned partition.  It branches in DSATUR order (Brélaz,
@@ -45,7 +52,7 @@ from .errors import (
 )
 from .ggraph import build_ggraph
 from .iso import SIZE_BOUND, canonical_form
-from .multigraph import Multigraph, as_multigraph
+from .multigraph import Multigraph, as_multigraph, turan_sizes
 
 # groups loads numpy, so it is imported inside the functions that use a group
 if TYPE_CHECKING:
@@ -119,15 +126,11 @@ def _has_proper_coloring(
     mg: Multigraph, k: int, budget: _Budget, two_colorable: bool,
     masks: list[int], degrees: list[int],
 ) -> bool:
-    """Whether ``mg`` has a proper k-coloring.
+    """Whether ``mg``, connected with an edge, has a proper k-coloring, k >= 2.
 
     ``two_colorable`` is whether its traversal found two sides, and
     ``masks`` and ``degrees`` are its adjacency masks and weighted degrees.
     """
-    if k <= 0:
-        return mg.n == 0
-    if k == 1:
-        return not mg.edges
     if k >= mg.n:
         return True
     if k == 2:
@@ -256,21 +259,6 @@ def _proper_coloring(
 # ---------------------------------------------------------------------------
 
 
-def _accept(
-    k: int, sizes: Sequence[int], degs: Sequence[int], group_order: int,
-    orders: Sequence[int],
-) -> CharacterizationVerdict:
-    return CharacterizationVerdict(
-        status=ACCEPT,
-        k=k,
-        class_sizes=tuple(sizes),
-        class_degrees=tuple(degs),
-        group_order=group_order,
-        gen_orders=tuple(orders),
-        presentation=order_presentation(orders),
-    )
-
-
 def _refuse(reason: str, k: Optional[int] = None) -> CharacterizationVerdict:
     return CharacterizationVerdict(status=REFUSE, k=k, refusal_reason=reason)
 
@@ -346,29 +334,17 @@ def _characterize_with_partition(
             f"partition is not proper: edge ({u},{v}) inside class {c}"
         )
 
-    k = len(classes)
-    total = mg.edge_multiplicity_total()
-
+    k = len(classes)  # >= 2: with one class the connected graph has an edge inside it
     degrees = mg.weighted_degrees()
     class_degs = mg.class_degrees(classes, degrees)
     for c, d in enumerate(class_degs):
         if d is None:
             return _refuse(f"degrees not uniform within class {c}", k)
-    sizes = [len(cls) for cls in classes]
-
-    if (2 * total) % k != 0:
-        return _refuse(f"2|E|/k = {2 * total}/{k} not integral", k)
-    share = 2 * total // k
-    for c in range(k):
-        if sizes[c] * class_degs[c] != share:
-            return _refuse(
-                f"class {c}: size*degree = {sizes[c] * class_degs[c]} != 2|E|/k = {share}",
-                k,
-            )
-    verdict = _verdict_from_parameters(k, sizes, class_degs, total)
-    if verdict.status != ACCEPT:
-        return verdict
-    if mg.n <= SEARCH_VERTEX_BOUND and k >= 2:
+    verdict = _verdict_from_parameters(
+        k, [len(cls) for cls in classes], class_degs, mg.edge_multiplicity_total()
+    )
+    # k = 2 needs no check: a graph with an edge is not 1-colorable
+    if verdict.status == ACCEPT and k > 2 and mg.n <= SEARCH_VERTEX_BOUND:
         masks = _adjacency_masks(mg)
         if _has_proper_coloring(mg, k - 1, budget, two_colorable, masks, degrees):
             return _refuse(
@@ -380,22 +356,44 @@ def _characterize_with_partition(
 def _verdict_from_parameters(
     k: int, sizes: Sequence[int], class_degs: Sequence[int], total_mult: int
 ) -> CharacterizationVerdict:
-    """Accept with the recovered orders, or refuse on a non-integral one.
+    """The acceptance rule for k >= 2 classes, from their sizes and degrees.
 
-    Every caller has checked size * degree = 2|E|/k for each class, so each
-    size * order equals |G| = 2|E|/(k(k-1)) once both are integral.
+    Accept with the recovered orders when 2|E|/k is integral, every class
+    has size * degree = 2|E|/k, and ``_fractional`` finds nothing; each
+    size * order then equals |G| = 2|E|/(k(k-1)).  Refuse on the first
+    check that fails.
     """
-    orders = []
-    for d in class_degs:
+    if (2 * total_mult) % k != 0:
+        return _refuse(f"2|E|/k = {2 * total_mult}/{k} not integral", k)
+    share = 2 * total_mult // k
+    for c, (size, d) in enumerate(zip(sizes, class_degs)):
+        if size * d != share:
+            return _refuse(f"class {c}: size*degree = {size * d} != 2|E|/k = {share}", k)
+    refusal = _fractional(k, class_degs, total_mult)
+    if refusal is not None:
+        return refusal
+    orders = tuple(d // (k - 1) for d in class_degs)
+    return CharacterizationVerdict(
+        status=ACCEPT, k=k, class_sizes=tuple(sizes), class_degrees=tuple(class_degs),
+        group_order=2 * total_mult // (k * (k - 1)), gen_orders=orders,
+        presentation=order_presentation(orders),
+    )
+
+
+def _fractional(
+    k: int, degrees: Sequence[int], total_mult: int
+) -> Optional[CharacterizationVerdict]:
+    """The refusal when a degree over k-1, or 2|E| over k(k-1), is fractional.
+
+    The first such degree in ``degrees`` order is named; None when all are
+    integral.
+    """
+    for d in degrees:
         if d % (k - 1) != 0:
             return _refuse(f"generator order {d}/{k - 1} not integral", k)
-        orders.append(d // (k - 1))
     if (2 * total_mult) % (k * (k - 1)) != 0:
-        return _refuse(
-            f"group order {2 * total_mult}/{k * (k - 1)} not integral", k
-        )
-    group_order = 2 * total_mult // (k * (k - 1))
-    return _accept(k, sizes, class_degs, group_order, orders)
+        return _refuse(f"group order {2 * total_mult}/{k * (k - 1)} not integral", k)
+    return None
 
 
 def _characterize_search(
@@ -423,12 +421,10 @@ def _characterize_search(
         )
 
     total = mg.edge_multiplicity_total()
-    # Integrality screens that no k-chromatic partition can evade.
-    for d in sorted(set(degrees)):
-        if d % (k - 1) != 0:
-            return _refuse(f"generator order {d}/{k - 1} not integral", k)
-    if (2 * total) % (k * (k - 1)) != 0:
-        return _refuse(f"group order {2 * total}/{k * (k - 1)} not integral", k)
+    # integrality screens that no k-chromatic partition can evade
+    refusal = _fractional(k, sorted(set(degrees)), total)
+    if refusal is not None:
+        return refusal
     share = 2 * total // k  # k(k-1) divides 2|E|, so k does too
     required_size: dict[int, int] = {}
     # the graph is connected with n >= 2 here, so every degree is at least 1
@@ -449,11 +445,10 @@ def _characterize_search(
 
 
 def characterize_bipartite(graph) -> CharacterizationVerdict:
-    """Bipartite decision: accept iff biregular, with |G| = |E|.
+    """The bipartite case: :func:`characterize` on the two sides of the BFS.
 
-    Degrees and the edge count include multiplicity, which keeps the verdict
-    consistent with the k = 2 path of :func:`characterize` on double-edged
-    graphs.
+    It accepts iff the graph is biregular, with |G| = |E| and the degrees as
+    orders.  A connected non-bipartite graph raises InvalidInputError.
     """
     mg = as_multigraph(graph)
     sides, components = mg.traverse()
@@ -462,50 +457,22 @@ def characterize_bipartite(graph) -> CharacterizationVerdict:
         return verdict
     if sides is None:
         raise InvalidInputError("graph is not bipartite")
-    per_side = mg.class_degrees(sides)
-    for c, d in enumerate(per_side):
-        if d is None:
-            return _refuse(f"degrees not uniform within bipartition side {c}", 2)
-    total = mg.edge_multiplicity_total()
-    return _accept(
-        2,
-        sizes=(len(sides[0]), len(sides[1])),
-        degs=tuple(per_side),
-        group_order=total,
-        orders=tuple(per_side),
-    )
+    # k = 2 runs no coloring search, so the budget is never spent
+    return _characterize_with_partition(mg, sides, _Budget(0), True)
 
 
 def turan_verdict(n: int, r: int) -> CharacterizationVerdict:
-    """Verdict for the Turan graph T(n, r) from its parameters alone.
+    """The Turan case: the verdict on T(n, r) with its own classes.
 
-    Regular Turan graphs (r | n) and all bipartite ones (r = 2) are accepted;
-    irregular ones with r > 2 are refused because the two class degrees
-    differ by 1 and cannot both yield integral generator orders.
+    The rule runs on the sizes s of ``turan_sizes``, of degree n - s, with
+    2|E| = n^2 - sum s^2, without building the graph: it accepts when r | n
+    or r = 2.  Like the graph, it refuses n above VERTEX_LIMIT.
     """
     if not 2 <= r <= n:
         raise InvalidParameterError("need 2 <= r <= n")
-    if n % r == 0:
-        q = n // r
-        return _accept(
-            r,
-            sizes=(q,) * r,
-            degs=(n - q,) * r,
-            group_order=q * q,
-            orders=(q,) * r,
-        )
-    if r == 2:
-        x = -(-n // 2)
-        y = n // 2
-        return _accept(
-            2, sizes=(x, y), degs=(y, x), group_order=x * y, orders=(y, x)
-        )
-    lo, hi = n - -(-n // r), n - n // r
-    return _refuse(
-        f"degrees {lo} and {hi} differ by 1, so generator orders "
-        f"{lo}/{r - 1} and {hi}/{r - 1} cannot both be integers",
-        r,
-    )
+    sizes = turan_sizes(n, r)
+    total = (n * n - sum(s * s for s in sizes)) // 2
+    return _verdict_from_parameters(r, sizes, [n - s for s in sizes], total)
 
 
 # ---------------------------------------------------------------------------

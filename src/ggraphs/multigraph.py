@@ -245,16 +245,23 @@ def complete_bipartite(m: int, n: int, mult: int = 1) -> Multigraph:
     return complete_multipartite([m, n], mult)
 
 
-def turan_graph(n: int, r: int) -> Multigraph:
-    """Complete r-partite graph on n vertices with near-equal class sizes.
+def turan_sizes(n: int, r: int) -> list[int]:
+    """Class sizes of T(n, r): the (n mod r) classes of size ceil(n/r) first.
 
-    The (n mod r) larger classes of size ceil(n/r) come first.
+    n above VERTEX_LIMIT, the bound of the graph, is refused before any list
+    is built.
     """
     if not 1 <= r <= n:
         raise InvalidParameterError("need 1 <= r <= n")
+    if n > VERTEX_LIMIT:
+        raise SizeLimitError(f"vertex count {n} exceeds {VERTEX_LIMIT}")
     big, small = -(-n // r), n // r
-    sizes = [big] * (n % r) + [small] * (r - n % r)
-    return complete_multipartite(sizes)
+    return [big] * (n % r) + [small] * (r - n % r)
+
+
+def turan_graph(n: int, r: int) -> Multigraph:
+    """Complete r-partite graph on n vertices with the sizes of ``turan_sizes``."""
+    return complete_multipartite(turan_sizes(n, r))
 
 
 def octahedron_graph() -> Multigraph:

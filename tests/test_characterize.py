@@ -573,16 +573,52 @@ def test_non_bipartite_raises():
         characterize_bipartite(cycle_graph(5))
 
 
-@pytest.mark.parametrize("name", cat.CATALOG_NAMES)
+def _random_bipartite_multigraph():
+    """A seeded connected bipartite multigraph on sides of 5 and 7 vertices."""
+    import random
+
+    rng = random.Random(0)
+    graph = Multigraph(12)
+    for u in range(5):
+        for v in range(5, 12):
+            if rng.random() < 0.5:
+                graph.add_edge(u, v, rng.randint(1, 3))
+    return graph
+
+
+_NOT_BIREGULAR = {
+    "path_graph(4)": lambda: path_graph(4),
+    "random_bipartite_multigraph": _random_bipartite_multigraph,
+}
+
+
+@pytest.mark.parametrize("name", cat.CATALOG_NAMES + tuple(_NOT_BIREGULAR))
 def test_bipartite_agrees_with_general_path(name):
-    _, seq, gg = cat.fixture(name)
-    if len(seq) != 2:
+    if name in _NOT_BIREGULAR:
+        graph = _NOT_BIREGULAR[name]()
+    else:
+        graph = cat.fixture(name)[2].to_multigraph()
+    sides = graph.bipartition()
+    if sides is None:
+        with pytest.raises(InvalidInputError):
+            characterize_bipartite(graph)
         return
-    bip = characterize_bipartite(gg)
-    gen = characterize(gg, gg.natural_partition())
-    assert bip.status == gen.status == ACCEPT
-    assert bip.group_order == gen.group_order
-    assert sorted(bip.gen_orders) == sorted(gen.gen_orders)
+    verdict = characterize_bipartite(graph)
+    assert verdict == characterize(graph, sides)
+    if name in _NOT_BIREGULAR:
+        assert graph.is_connected()
+        assert verdict.status == REFUSE and verdict.k == 2
+    else:
+        group, seq, _ = cat.fixture(name)
+        assert verdict.status == ACCEPT and verdict.group_order == group.order
+        assert sorted(verdict.gen_orders) == sorted(seq.orders)
+
+
+def test_bipartite_on_disconnected_odd_cycles_refuses():
+    graph = Multigraph(6, edges=[(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
+    verdict = characterize_bipartite(graph)
+    assert verdict.status == REFUSE
+    assert verdict.refusal_reason == "disconnected"
 
 
 # -- Turan verdicts ----------------------------------------------------------
@@ -614,14 +650,33 @@ def test_turan_verdict_complete_graph_case():
         assert set(verdict.gen_orders) == {1}
 
 
-@pytest.mark.parametrize("n,r", [(6, 3), (4, 2), (9, 3), (8, 4), (5, 2), (7, 2), (6, 2)])
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 17) for r in range(2, n + 1)])
 def test_turan_verdict_consistent_with_characterize(n, r):
-    from_params = turan_verdict(n, r)
     graph = turan_graph(n, r)
-    from_graph = characterize(graph, graph.classes)
-    assert from_params.status == from_graph.status == ACCEPT
-    assert from_params.group_order == from_graph.group_order
-    assert sorted(from_params.gen_orders) == sorted(from_graph.gen_orders)
+    verdict = turan_verdict(n, r)
+    assert verdict == characterize(graph, graph.classes)
+    assert (verdict.status == ACCEPT) == (n % r == 0 or r == 2)
+
+
+def test_turan_verdict_refuses_past_the_vertex_limit_before_building():
+    import tracemalloc
+
+    from ggraphs import SizeLimitError
+    from ggraphs.multigraph import VERTEX_LIMIT
+
+    n = VERTEX_LIMIT + 1
+    tracemalloc.start()
+    try:
+        for r in (2, n):
+            with pytest.raises(SizeLimitError):
+                turan_verdict(n, r)
+            with pytest.raises(SizeLimitError):
+                turan_graph(n, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of n class sizes alone would take 800 kB
+    assert peak < 100_000
 
 
 # -- witness search ----------------------------------------------------------
