@@ -4,10 +4,12 @@ Elements of a group are dense indices ``0 .. order-1``.  Each constructor
 supplies one product rule over index arrays (permutation composition,
 normal-form arithmetic, or componentwise for direct products).  Groups up to
 :data:`TABLE_LIMIT` (1024) elements tabulate it, 32 rows at a time, into a
-full multiplication table; larger groups multiply through the rule.
+full multiplication table; larger groups multiply through the rule.  A
+permutation group finds the index of a product from its images of a base of
+the group, read through one small table per base point, with no search.
 Construction checks the identity and inverse laws on every element, and
-associativity on every triple up to order 64 and on 10^5 triples drawn with
-a fixed seed above it.
+associativity on every triple up to order 64 and, above it, on 10^5 triples
+drawn with a fixed seed once per process.
 
 Permutation products use the function-composition convention: ``p * q``
 applies ``q`` first, then ``p``.  With right cosets ``<s>x = {s^j x}`` this
@@ -16,6 +18,7 @@ reproduces the usual printed coset listings for symmetric groups.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import permutations as _iter_permutations
@@ -54,7 +57,7 @@ class GroupTable:
         "labels",
         "family_tag",
         "designated",
-        "_table",
+        "_flat",
         "_rule",
         "_inv",
         "_label_index",
@@ -80,7 +83,8 @@ class GroupTable:
         if table is None and order <= TABLE_LIMIT:
             table = _tabulate(order, rule)
         if table is not None:
-            table = np.asarray(table)
+            # C order, so that ravel() below is a view and never a copy
+            table = np.ascontiguousarray(table)
             if table.shape != (order, order) or table.min() < 0 or table.max() >= order:
                 raise InvalidParameterError("table must be order x order over 0..order-1")
         self.order = order
@@ -88,7 +92,7 @@ class GroupTable:
         self.labels = tuple(labels)
         self.family_tag = family_tag
         self.designated = dict(designated or {})
-        self._table = table
+        self._flat = None if table is None else table.ravel()
         self._rule = None if table is not None else rule
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._order_cache: dict[int, int] = {}
@@ -105,8 +109,9 @@ class GroupTable:
 
     def products(self, a, b) -> np.ndarray:
         """``mul`` over index arrays ``a`` and ``b`` broadcast together."""
-        if self._table is not None:
-            return self._table[a, b]
+        if self._flat is not None:
+            # one gather from the flat table, about twice as fast as table[a, b]
+            return self._flat[np.multiply(a, self.order) + b]
         return self._rule(a, b)
 
     def inv(self, a: int) -> int:
@@ -134,9 +139,9 @@ class GroupTable:
 
     def _solve_inverses(self) -> tuple[int, ...]:
         # Only table-backed groups; rule-backed constructors pass inverses.
-        if self._table is None:
+        if self._flat is None:
             raise InvalidParameterError("rule-backed groups must supply inverses")
-        hits = self._table == self.identity
+        hits = self._flat.reshape(self.order, self.order) == self.identity
         _require(hits.sum(axis=1) == 1, "element {} lacks a unique inverse")
         return tuple(hits.argmax(axis=1).tolist())
 
@@ -164,12 +169,8 @@ class GroupTable:
         if n <= _ASSOC_EXHAUSTIVE_LIMIT:
             chunks = ((a, every[:, None], every[None, :]) for a in range(n))
         else:
-            # stdlib bytes: importing numpy.random would cost 6 MB of RSS
-            rng = random.Random(0)
             chunks = (
-                (np.frombuffer(rng.randbytes(12 * _CHUNK), np.uint32) % np.uint32(n))
-                .astype(np.intp).reshape(3, -1)
-                for _ in range(_ASSOC_SAMPLES // _CHUNK)
+                (words % np.uint32(n)).astype(np.intp) for words in _assoc_sample()
             )
         for a, b, c in chunks:
             left = self.products(self.products(a, b), c)
@@ -178,6 +179,23 @@ class GroupTable:
                 i = np.flatnonzero(~holds)[0]
                 triple = tuple(int(x.flat[i]) for x in np.broadcast_arrays(a, b, c))
                 raise InvalidParameterError(f"associativity fails at {triple}")
+
+
+@functools.cache
+def _assoc_sample() -> np.ndarray:
+    """The words behind the sampled associativity check, drawn once per
+    process: ``_ASSOC_SAMPLES // _CHUNK`` chunks of three rows of ``_CHUNK``
+    uint32 words each, from successive ``randbytes`` of ``random.Random(0)``.
+    Each group reduces them mod its order.  Read-only, since every group
+    shares it.
+    """
+    # stdlib bytes: importing numpy.random would cost 6 MB of RSS
+    rng = random.Random(0)
+    words = np.empty((_ASSOC_SAMPLES // _CHUNK, 3, _CHUNK), dtype=np.uint32)
+    for chunk in words:
+        chunk[:] = np.frombuffer(rng.randbytes(12 * _CHUNK), np.uint32).reshape(3, -1)
+    words.flags.writeable = False
+    return words
 
 
 def _tabulate(order: int, rule: Callable) -> np.ndarray:
@@ -320,31 +338,62 @@ def _group_from_permutations(perms: np.ndarray, family_tag: Optional[str]) -> Gr
     (rows of images) in ascending lexicographic order, closed under
     composition.
 
-    Products are found by ``searchsorted`` on a mixed-radix key over the
-    columns that decide the row order, so the keys ascend with the rows.
+    The columns c_0..c_{k-1} that decide the row order are a base of the
+    group: an element is fixed by its images of those points.  Level l
+    numbers the images that occur in column c_l (its alphabet, of size a_l)
+    and keeps a table from a row's prefix on c_0..c_{l-1} and the code of its
+    image at c_l to the rank of its prefix on c_0..c_l among the distinct
+    prefixes.  The rows are sorted, so these ranks ascend with the rows, and
+    the rank at the last level is the element's index: a product, an inverse
+    or the identity is found by k table reads, with no search.
+
+    The tables hold fewer cells than ``perms``.  Level l has width_{l-1} * a_l
+    cells, where width_{l-1} is the number of distinct prefixes on
+    c_0..c_{l-1}: the cosets of their pointwise stabilizer.  Each kept column
+    splits every such coset into at least two, so width_{l-1} <= n / 2^(k-l),
+    and with a_l <= d the sum over l stays below n * d.
     """
     n, d = perms.shape
     cols = _deciding_columns(perms)
-    if d ** len(cols) > np.iinfo(np.int64).max:
-        raise SizeLimitError(f"permutation keys on {d} points exceed 64 bits")
+    codes = []
+    for c in cols:
+        # np.unique would load numpy.ma, 0.8 MB of RSS
+        occurs = np.zeros(d, dtype=np.intp)
+        occurs[perms[:, c]] = 1
+        codes.append(np.cumsum(occurs) - 1)
+    sizes = [int(code[-1]) + 1 for code in codes]
+    # Each table stores the rank times the next alphabet size, which is where
+    # the next level's cells of that prefix start.
+    levels = []
+    start = np.zeros(n, dtype=np.intp)
+    for c, code, size, stride in zip(cols, codes, sizes, sizes[1:] + [1]):
+        cell = start + code[perms[:, c]]
+        rank = np.cumsum(np.concatenate(([False], cell[1:] != cell[:-1])))
+        table = np.zeros(int(start[-1]) + size, dtype=np.intp)
+        start = rank * stride
+        table[cell] = start
+        levels.append((code, table))
+
+    def index(images):
+        """Element indices from the images of c_0, c_1, ... in order."""
+        at = 0
+        for (code, table), image in zip(levels, images):
+            at = table[at + code[image]]
+        return at
+
     flat = perms.ravel()
-
-    def key(columns) -> np.ndarray:
-        total = np.zeros((), dtype=np.int64)
-        for column in columns:
-            total = total * d + column
-        return total
-
-    keys = key(perms[:, c] for c in cols)
+    columns = [np.ascontiguousarray(perms[:, c]) for c in cols]
 
     def rule(a, b):
         # (p*q)[c] = p[q[c]], read from p's row in the flattened array
         base = np.multiply(a, d)
-        return np.searchsorted(keys, key(flat[base + perms[b, c]] for c in cols))
+        return index(flat[base + column[b]] for column in columns)
 
-    # argsort of a permutation's images is its inverse
-    inverses = np.searchsorted(keys, key(np.argsort(perms)[:, c] for c in cols))
-    identity = int(np.searchsorted(keys, key(cols)))
+    # the images of an inverse: p^-1[p[j]] = j
+    undo = np.empty_like(perms)
+    undo[np.arange(n)[:, None], perms] = np.arange(d, dtype=perms.dtype)
+    inverses = index(undo[:, c] for c in cols)
+    identity = int(index(cols))
     labels = [cycle_notation(p) for p in perms.tolist()]
     return GroupTable(
         n, rule=rule, inv=inverses.tolist(), identity=identity, labels=labels,

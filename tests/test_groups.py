@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations
 
 import numpy as np
@@ -26,6 +27,8 @@ from ggraphs import (
 )
 from ggraphs.groups import (
     CLOSURE_LIMIT,
+    TABLE_LIMIT,
+    _assoc_sample,
     compose,
     conjugacy_classes,
     cycle_notation,
@@ -293,6 +296,17 @@ def test_validation_rejects(order, table, labels, message):
         GroupTable(order, table=np.array(table), labels=list(labels))
 
 
+def test_associativity_sample_is_drawn_once_and_read_only():
+    rng = random.Random(0)
+    drawn = b"".join(rng.randbytes(12 * 10_000) for _ in range(10))
+    words = _assoc_sample()
+    assert words.shape == (10, 3, 10_000)
+    assert words.tobytes() == drawn
+    assert _assoc_sample() is words
+    with pytest.raises(ValueError):
+        words[0, 0, 0] = 1
+
+
 def test_validation_accepts_the_uncorrupted_table():
     n = 72
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
@@ -335,12 +349,66 @@ def test_closure_table_matches_compose():
     _check_permutation_group(g, perms)
 
 
-def test_rule_backed_symmetric_matches_compose():
-    g = make_symmetric(7)
-    perms = list(permutations(range(7)))
+@pytest.mark.parametrize(
+    "make, perms",
+    [
+        (lambda: make_symmetric(7), lambda: list(permutations(range(7)))),
+        # S7 as the construct benchmark builds it
+        (lambda: closure_from_permutations(["(1 2)", "(1 2 3 4 5 6 7)"]),
+         lambda: list(permutations(range(7)))),
+        (lambda: make_alternating(7),
+         lambda: [p for p in permutations(range(7)) if parity(p) == 0]),
+    ],
+    ids=["sym7", "closure-sym7", "alt7"],
+)
+def test_rule_backed_permutation_group_matches_compose(make, perms):
+    g, perms = make(), perms()
+    assert g.order > TABLE_LIMIT
+    index = {p: i for i, p in enumerate(perms)}
     rng = np.random.default_rng(3)
-    for a, b in rng.integers(0, g.order, (500, 2)).tolist():
-        assert perms[g.mul(a, b)] == compose(perms[a], perms[b])
+    a, b = rng.integers(0, g.order, (2, 100_000))
+    assert g.products(a, b).tolist() == [
+        index[compose(perms[x], perms[y])] for x, y in zip(a.tolist(), b.tolist())
+    ]
+    assert [g.inv(x) for x in range(g.order)] == [
+        index[tuple(np.argsort(p).tolist())] for p in perms
+    ]
+    assert g.identity == index[tuple(range(7))]
+
+
+# Seven disjoint transpositions and (254 255): order 256 on 255 points, so
+# 255 ** 8 keys of the deciding columns would not fit in 64 bits.
+_WIDE = [f"({i} {i + 1})" for i in range(1, 14, 2)] + ["(254 255)"]
+
+
+def test_wide_permutation_group_matches_compose():
+    g = closure_from_permutations(_WIDE)
+    swaps = [parse_cycles(text, 255) for text in _WIDE]
+    perms = {tuple(range(255))}
+    for swap in swaps:
+        perms |= {compose(swap, p) for p in perms}
+    assert g.order == 256
+    _check_permutation_group(g, sorted(perms))
+
+
+def test_group_with_large_base_tables_builds():
+    # <(1 .. 725)(726 .. 2175)> has order 1450 on 2175 points.  Its deciding
+    # columns are points 1 and 726, with 725 and 1450 images, so its level
+    # tables hold 725 + 725 * 1450 cells, more than one 1024 x 1024 table.
+    # Fewer than its 1450 x 2175 images, so no bound may refuse it.
+    cycles = [range(1, 726), range(726, 2176)]
+    g = closure_from_permutations(
+        ["".join("(" + " ".join(map(str, c)) + ")" for c in cycles)]
+    )
+    assert g.order == 1450
+    # the rows of g^i sort by (i mod 725, i)
+    power = np.arange(1450)
+    index = 2 * (power % 725) + power // 725
+    assert g.products(index[:, None], index[None, :]).tolist() == (
+        index[(power[:, None] + power[None, :]) % 1450].tolist()
+    )
+    assert [g.inv(x) for x in index.tolist()] == index[-power % 1450].tolist()
+    assert g.identity == 0
 
 
 def _dihedral_rule(n):

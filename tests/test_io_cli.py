@@ -226,6 +226,14 @@ def test_cli_build_perm_group_and_dot(tmp_path, capsys):
                 if "fillcolor" in line}) == 2
 
 
+def test_cli_build_wide_permutation_group(capsys):
+    # order 256 on 255 points, past a 64-bit key over its base points
+    gens = [f"({i} {i + 1})" for i in range(1, 14, 2)] + ["(254 255)"]
+    assert main(["build", "--group", "perm:" + ";".join(gens),
+                 "--gens", ",".join(gens)]) == 0
+    assert "vertices: 1024 (predicted 1024)" in capsys.readouterr().out
+
+
 def test_cli_build_edges_format(tmp_path, capsys):
     out = tmp_path / "q.edges"
     assert main(["build", "--group", "genq:2", "--gens", "a,b",
