@@ -22,14 +22,10 @@ from typing import TYPE_CHECKING
 from . import io as gio
 from .analysis import structure_report
 from .characterize import ACCEPT, REFUSE, characterize
-from .errors import (
-    GGraphError,
-    InvalidMatrixError,
-    NotAGeneratingSetError,
-)
+from .errors import GGraphError, NotAGeneratingSetError
 from .ggraph import build_ggraph, predicted_stats
 from .infinite import affine_ball, sl2z_ball
-from .iso import recognize_family
+from .iso import SIZE_BOUND, recognize_family
 from .multigraph import Multigraph
 
 # groups and spectral load numpy, so they are imported inside the commands that use them
@@ -183,7 +179,7 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     mg = load_graph_input(args.input)
     report = structure_report(mg)
-    family = recognize_family(mg) if mg.n <= 64 else None
+    family = recognize_family(mg) if mg.n <= SIZE_BOUND else None
     print(f"vertices: {mg.n}  edge multiplicity: {mg.edge_multiplicity_total()}")
     print(f"connected: {report.connected}")
     print(f"eulerian: {report.eulerian}")
@@ -239,14 +235,7 @@ def _fixed(value: float) -> str:
 def cmd_spectrum(args) -> int:
     from .spectral import adjacency_from_multigraph, matrix_csv, spectrum
 
-    mg = load_graph_input(args.input)
-    try:
-        adj = adjacency_from_multigraph(mg)
-    except InvalidMatrixError:
-        # non-contiguous partition headers: blocks are only cosmetic here
-        plain = mg.copy()
-        plain.classes = None
-        adj = adjacency_from_multigraph(plain)
+    adj = adjacency_from_multigraph(load_graph_input(args.input))
     report = spectrum(adj)
     payload = {
         "dimension": report.dimension,

@@ -48,7 +48,9 @@ class GroupTable:
     ``labels`` gives a distinct display string per element.  A ``rule`` maps
     index arrays (or ints) broadcast together to the indices of their
     products.  Instances are immutable after construction and safe to share
-    between threads.
+    between threads, except for ``_order_cache``, a memo of element orders
+    that ``element_order`` fills; a dict store is atomic under the GIL, and
+    every thread stores the same order for an element.
     """
 
     __slots__ = (
@@ -271,7 +273,14 @@ def parity(p: tuple[int, ...]) -> int:
 
 
 def cycle_notation(p: tuple[int, ...]) -> str:
-    """Format as 1-based disjoint cycles, fixed points omitted; identity is 'e'."""
+    """Format as 1-based disjoint cycles, fixed points omitted; identity is 'e'.
+
+    Points are written with no separator, ``(123)``, unless some moved point
+    is 10 or more; then a space separates every two points, ``(1 2)(9 10)``,
+    so the label reads back through ``parse_cycles`` and two permutations
+    never share one.
+    """
+    sep = " " if any(p[i] != i for i in range(9, len(p))) else ""
     seen = [False] * len(p)
     parts = []
     for i in range(len(p)):
@@ -284,7 +293,7 @@ def cycle_notation(p: tuple[int, ...]) -> str:
             seen[j] = True
             cyc.append(j + 1)
             j = p[j]
-        parts.append("(" + "".join(str(v) for v in cyc) + ")")
+        parts.append("(" + sep.join(str(v) for v in cyc) + ")")
     return "".join(parts) if parts else "e"
 
 

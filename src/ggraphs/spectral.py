@@ -2,6 +2,11 @@
 
 The adjacency matrix of a coset graph is integer-valued with zero diagonal
 blocks (one block per partition class); entries are edge multiplicities.
+A plain multigraph gets one block per vertex, whatever partition it stores.
+``matrix_diagnostics`` decides whether a matrix can come from the coset
+construction by the rule ``characterize`` uses, ``_verdict_from_parameters``,
+so the two cannot disagree.
+
 Eigenvalues come from LAPACK's symmetric solver (``numpy.linalg.eigvalsh``)
 on the dense matrix, so exact integers enter floating point only at the
 eigen-decomposition.  Matrices are bounded at DIMENSION_LIMIT and their
@@ -22,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .characterize import _verdict_from_parameters
 from .errors import InvalidMatrixError, InvalidPairError, SizeLimitError
 from .ggraph import GGraph
 from .multigraph import MULTIPLICITY_LIMIT, Multigraph
@@ -135,30 +141,14 @@ def adjacency_matrix(gg: GGraph) -> AdjMatrix:
     return AdjMatrix(matrix=m, block_bounds=gg.class_offsets)
 
 
-def adjacency_from_multigraph(
-    mg: Multigraph, classes: Optional[list[list[int]]] = None
-) -> AdjMatrix:
-    """AdjMatrix for a plain multigraph.
+def adjacency_from_multigraph(mg: Multigraph) -> AdjMatrix:
+    """AdjMatrix for a plain multigraph, with every vertex its own block.
 
-    Without a partition every vertex is its own block, which leaves the
-    zero-diagonal-block invariant trivially satisfied.
+    A partition stored on ``mg`` is not read: class blocks come only from
+    ``adjacency_matrix`` of a coset graph, and the spectrum never reads them.
     """
-    n = mg.n
-    m = _adjacency(n, [(u, v, mult) for (u, v), mult in mg.edges.items()])
-    if classes is None:
-        classes = mg.classes
-    if classes is not None:
-        expected = [v for cls in classes for v in cls]
-        if expected != list(range(n)):
-            raise InvalidMatrixError(
-                "partition classes must be contiguous ranges in vertex order"
-            )
-        bounds = [0]
-        for cls in classes:
-            bounds.append(bounds[-1] + len(cls))
-    else:
-        bounds = list(range(n + 1))
-    return AdjMatrix(matrix=m, block_bounds=tuple(bounds))
+    m = _adjacency(mg.n, [(u, v, mult) for (u, v), mult in mg.edges.items()])
+    return AdjMatrix(matrix=m, block_bounds=tuple(range(mg.n + 1)))
 
 
 def spectrum(m: AdjMatrix) -> SpectrumReport:
@@ -221,9 +211,10 @@ def matrix_diagnostics(m: AdjMatrix, gg: GGraph) -> MatrixDiagnostics:
 
     Row sums must equal the multiplicity-weighted degrees, agree within each
     block, and divide by (k-1) back to the generator orders; the total entry
-    sum halves to the edge count.  With three or more blocks, two row sums
-    differing by exactly 1 cannot both come from integral generator orders,
-    which flags the matrix as not arising from the coset construction.
+    sum halves to the edge count.  ``not_a_ggraph`` is the characterization
+    rule's answer on the matrix alone: a block whose row sums differ, or,
+    with k >= 2 uniform blocks, a refusal by ``_verdict_from_parameters`` of
+    the block sizes, block row sums and edge total, whose reason is kept.
     """
     if m.dimension != gg.vertex_count or tuple(m.block_bounds) != tuple(gg.class_offsets):
         raise InvalidPairError("matrix shape/blocks do not match the graph")
@@ -261,18 +252,12 @@ def matrix_diagnostics(m: AdjMatrix, gg: GGraph) -> MatrixDiagnostics:
     edge_total = int(m.matrix.sum()) // 2
     edge_total_matches = edge_total == sum(mult for _, _, mult in gg.edges)
 
-    flagged = False
     reason = None
-    if k > 2:
-        distinct = sorted(set(row_sums))
-        for a, b in zip(distinct, distinct[1:]):
-            if b - a == 1:
-                flagged = True
-                reason = (
-                    f"row sums {a} and {b} differ by 1 with {k} blocks; "
-                    f"orders {a}/{k - 1} and {b}/{k - 1} cannot both be integers"
-                )
-                break
+    if not blocks_uniform:
+        reason = f"degrees not uniform within class {block_row_sums.index(None)}"
+    elif k >= 2:
+        sizes = [hi - lo for lo, hi in zip(m.block_bounds, m.block_bounds[1:])]
+        reason = _verdict_from_parameters(k, sizes, block_row_sums, edge_total).refusal_reason
 
     return MatrixDiagnostics(
         row_sums=row_sums,
@@ -283,6 +268,6 @@ def matrix_diagnostics(m: AdjMatrix, gg: GGraph) -> MatrixDiagnostics:
         derived_orders_match=derived_match,
         edge_total=edge_total,
         edge_total_matches=edge_total_matches,
-        not_a_ggraph=flagged,
+        not_a_ggraph=reason is not None,
         not_a_ggraph_reason=reason,
     )

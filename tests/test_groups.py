@@ -389,6 +389,9 @@ def test_wide_permutation_group_matches_compose():
         perms |= {compose(swap, p) for p in perms}
     assert g.order == 256
     _check_permutation_group(g, sorted(perms))
+    # points past 9 are spaced, so every label reads back
+    assert "(254 255)" in g.labels
+    assert [parse_cycles(label, 255) for label in g.labels] == sorted(perms)
 
 
 def test_group_with_large_base_tables_builds():

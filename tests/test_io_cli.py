@@ -226,12 +226,20 @@ def test_cli_build_perm_group_and_dot(tmp_path, capsys):
                 if "fillcolor" in line}) == 2
 
 
-def test_cli_build_wide_permutation_group(capsys):
-    # order 256 on 255 points, past a 64-bit key over its base points
-    gens = [f"({i} {i + 1})" for i in range(1, 14, 2)] + ["(254 255)"]
+@pytest.mark.parametrize(
+    "gens,vertices",
+    [
+        # order 256 on 255 points, past a 64-bit key over its base points
+        ([f"({i} {i + 1})" for i in range(1, 14, 2)] + ["(254 255)"], 1024),
+        # S4 on {1, 2, 3, 23}: (1 2 3) and (1 23) must not share a label
+        (["(1 2 3)", "(1 23)"], 20),
+    ],
+    ids=["order256", "point23"],
+)
+def test_cli_build_wide_permutation_group(capsys, gens, vertices):
     assert main(["build", "--group", "perm:" + ";".join(gens),
                  "--gens", ",".join(gens)]) == 0
-    assert "vertices: 1024 (predicted 1024)" in capsys.readouterr().out
+    assert f"vertices: {vertices} (predicted {vertices})" in capsys.readouterr().out
 
 
 def test_cli_build_edges_format(tmp_path, capsys):
@@ -243,10 +251,25 @@ def test_cli_build_edges_format(tmp_path, capsys):
     assert sorted(g.edges.values()) == [2, 2, 2, 2]
 
 
-def test_cli_spectrum_with_noncontiguous_partition(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "headers",
+    [
+        "partition: 0 2\npartition: 1\n",
+        "partition: 0\npartition: 1 2\n",
+        "partition: 0 1\npartition: 2\n",
+    ],
+    ids=["noncontiguous", "contiguous-proper", "contiguous-improper"],
+)
+def test_cli_spectrum_with_noncontiguous_partition(tmp_path, capsys, headers):
+    # the spectrum ignores partition headers, whatever they declare
+    plain = tmp_path / "plain.edges"
+    plain.write_text("0 1\n1 2\n", encoding="utf-8")
+    assert main(["spectrum", str(plain)]) == 0
+    expected = capsys.readouterr().out
     src = tmp_path / "p.edges"
-    src.write_text("0 1\n1 2\npartition: 0 2\npartition: 1\n", encoding="utf-8")
+    src.write_text("0 1\n1 2\n" + headers, encoding="utf-8")
     assert main(["spectrum", str(src)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_export_dot(tmp_path, capsys):

@@ -22,6 +22,7 @@ from ggraphs.multigraph import (
     complete_graph,
     cycle_graph,
     octahedron_graph,
+    path_graph,
 )
 from ggraphs.spectral import HYPER, HYPO, NORMAL, AdjMatrix
 
@@ -367,7 +368,59 @@ def test_diagnostics_flags_degree_gap_of_one():
     diag = matrix_diagnostics(bad, gg)
     assert not diag.blocks_uniform
     assert not diag.row_sums_match_degrees
-    assert diag.not_a_ggraph  # row sums 3 and 4 differ by one with k = 3
+    assert diag.not_a_ggraph
+    assert diag.not_a_ggraph_reason == "degrees not uniform within class 0"
+    assert not diag.ok
+
+
+def _add_matching(m, lo, hi, mult):
+    """``m`` with ``mult`` more on the edges lo+i -- hi+i of two blocks."""
+    tampered = m.matrix.copy()
+    size = m.block_bounds[1] - m.block_bounds[0]
+    for i in range(size):
+        tampered[lo + i, hi + i] += mult
+        tampered[hi + i, lo + i] += mult
+    return AdjMatrix(matrix=tampered, block_bounds=m.block_bounds)
+
+
+def test_diagnostics_flags_uniform_blocks_the_rule_refuses():
+    # three more units on a matching between classes 0 and 1: the blocks stay
+    # uniform with row sums 7, 7, 4, no two of which differ by one, and 7 is
+    # no multiple of k - 1 = 2
+    gg = cat.ggraph_of("sym3_all_transpositions")
+    bad = _add_matching(adjacency_matrix(gg), 0, 3, 3)
+    diag = matrix_diagnostics(bad, gg)
+    assert diag.blocks_uniform
+    assert diag.block_row_sums == (7, 7, 4)
+    assert diag.derived_orders == (None, None, 2)
+    assert diag.not_a_ggraph
+    assert diag.not_a_ggraph_reason == "class 0: size*degree = 21 != 2|E|/k = 18"
+    assert not diag.ok
+
+
+def _one_more_unit(a):
+    a = a.copy()
+    a[0, 2] += 1
+    a[2, 0] += 1
+    return a
+
+
+@pytest.mark.parametrize(
+    "tamper,reason",
+    [
+        # the parameters of |G| = 20 with orders 10 and 4, which the rule accepts
+        (lambda a: 2 * a, None),
+        (_one_more_unit, "degrees not uniform within class 0"),
+    ],
+    ids=["doubled", "one-unit"],
+)
+def test_diagnostics_on_a_tampered_bipartite_matrix(tamper, reason):
+    gg = cat.ggraph_of("dihedral10_rs")  # K_{2,5}
+    m = adjacency_matrix(gg)
+    bad = AdjMatrix(matrix=tamper(m.matrix), block_bounds=m.block_bounds)
+    diag = matrix_diagnostics(bad, gg)
+    assert diag.not_a_ggraph == (reason is not None)
+    assert diag.not_a_ggraph_reason == reason
     assert not diag.ok
 
 
@@ -377,6 +430,20 @@ def test_diagnostics_no_gap_flag_for_bipartite():
     diag = matrix_diagnostics(adjacency_matrix(gg), gg)
     assert not diag.not_a_ggraph
     assert diag.ok
+
+
+@pytest.mark.parametrize(
+    "classes", [[[0, 2], [1]], [[0, 1], [2]], [[0], [1, 2]]],
+    ids=["noncontiguous", "improper", "contiguous-proper"],
+)
+def test_adjacency_from_multigraph_ignores_a_stored_partition(classes):
+    path = path_graph(3)
+    plain = adjacency_from_multigraph(path)
+    path.classes = classes
+    adj = adjacency_from_multigraph(path)
+    assert adj.block_bounds == (0, 1, 2, 3)
+    assert np.array_equal(adj.matrix, plain.matrix)
+    assert spectrum(adj) == spectrum(plain)
 
 
 def test_diagnostics_rejects_mismatched_pair():
