@@ -47,10 +47,10 @@ class GroupTable:
     ``mul`` is total, ``identity`` is the index of the neutral element and
     ``labels`` gives a distinct display string per element.  A ``rule`` maps
     index arrays (or ints) broadcast together to the indices of their
-    products.  Instances are immutable after construction and safe to share
-    between threads, except for ``_order_cache``, a memo of element orders
-    that ``element_order`` fills; a dict store is atomic under the GIL, and
-    every thread stores the same order for an element.
+    products.  Instances are immutable after construction, except for
+    ``_order_cache``, a memo of element orders that ``element_order`` fills,
+    and safe to share between threads: a dict store is atomic under the GIL,
+    and every thread stores the same order for an element.
     """
 
     __slots__ = (

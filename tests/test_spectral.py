@@ -373,22 +373,17 @@ def test_diagnostics_flags_degree_gap_of_one():
     assert not diag.ok
 
 
-def _add_matching(m, lo, hi, mult):
-    """``m`` with ``mult`` more on the edges lo+i -- hi+i of two blocks."""
-    tampered = m.matrix.copy()
-    size = m.block_bounds[1] - m.block_bounds[0]
-    for i in range(size):
-        tampered[lo + i, hi + i] += mult
-        tampered[hi + i, lo + i] += mult
-    return AdjMatrix(matrix=tampered, block_bounds=m.block_bounds)
-
-
 def test_diagnostics_flags_uniform_blocks_the_rule_refuses():
     # three more units on a matching between classes 0 and 1: the blocks stay
     # uniform with row sums 7, 7, 4, no two of which differ by one, and 7 is
     # no multiple of k - 1 = 2
     gg = cat.ggraph_of("sym3_all_transpositions")
-    bad = _add_matching(adjacency_matrix(gg), 0, 3, 3)
+    m = adjacency_matrix(gg)
+    tampered = m.matrix.copy()
+    for u in range(3):
+        tampered[u, u + 3] += 3
+        tampered[u + 3, u] += 3
+    bad = AdjMatrix(matrix=tampered, block_bounds=m.block_bounds)
     diag = matrix_diagnostics(bad, gg)
     assert diag.blocks_uniform
     assert diag.block_row_sums == (7, 7, 4)
