@@ -3,10 +3,13 @@
 Elements of a group are dense indices ``0 .. order-1``.  Each constructor
 supplies one product rule over index arrays (permutation composition,
 normal-form arithmetic, or componentwise for direct products).  Groups up to
-:data:`TABLE_LIMIT` (1024) elements tabulate it, 32 rows at a time, into a
-full multiplication table; larger groups multiply through the rule.  A
-permutation group finds the index of a product from its images of a base of
-the group, read through one small table per base point, with no search.
+:data:`TABLE_LIMIT` (1024) elements keep a full multiplication table; larger
+groups multiply through the rule.  A permutation group is built through a
+stabilizer chain (Schreier-Sims), which lists its elements and, up to
+:data:`TABLE_LIMIT`, composes its table; any other group tabulates its rule,
+32 rows at a time.  A permutation group finds the index of a product from
+its images of a base of the group, read through one small table per base
+point, with no search.
 Construction checks the identity and inverse laws on every element, and
 associativity on every triple up to order 64 and, above it, on 10^5 triples
 drawn with a fixed seed once per process.
@@ -19,9 +22,9 @@ reproduces the usual printed coset listings for symmetric groups.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
-from itertools import permutations as _iter_permutations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -338,14 +341,161 @@ def parse_cycles(text: str, n: Optional[int] = None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# stabilizer chains (Schreier-Sims)
+# ---------------------------------------------------------------------------
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix every earlier base point, and the orbit of the point under them.
+    ``maps[i]`` maps the point to ``orbit[i]`` and ``undo[i]`` is its inverse,
+    both rows of images.  The orbit, the generators and the maps only ever
+    grow, so a Schreier generator once sifted stays sifted.
+    """
+
+    __slots__ = ("point", "gens", "orbit", "slot", "maps", "undo", "applied", "checked")
+
+    def __init__(self, point: int, identity: np.ndarray):
+        self.point = point
+        self.gens: list[np.ndarray] = []
+        self.orbit = [point]
+        self.slot = {point: 0}  # orbit point -> its position in orbit
+        self.maps = [identity]
+        self.undo = [identity]
+        self.applied = [0]  # per orbit point: generators applied to it so far
+        self.checked = [0]  # per orbit point: Schreier generators sifted so far
+
+    def add(self, gen: np.ndarray) -> None:
+        """Add a generator and close the orbit under every generator."""
+        self.gens.append(gen)
+        i = 0
+        while i < len(self.orbit):
+            point, u = self.orbit[i], self.maps[i]
+            for s in self.gens[self.applied[i]:]:
+                image = int(s[point])
+                if image not in self.slot:
+                    self.slot[image] = len(self.orbit)
+                    self.orbit.append(image)
+                    self.maps.append(s[u])  # s after u
+                    self.undo.append(_inverse(self.maps[-1]))
+                    self.applied.append(0)
+                    self.checked.append(0)
+            self.applied[i] = len(self.gens)
+            i += 1
+
+
+def _inverse(p: np.ndarray) -> np.ndarray:
+    out = np.empty_like(p)
+    out[p] = np.arange(len(p), dtype=p.dtype)
+    return out
+
+
+def _stabilizer_chain(gens: np.ndarray, limit: Optional[int] = None) -> Optional[list[_Level]]:
+    """A base and strong generating set of the group that the rows of
+    ``gens`` (a ``(k, d)`` array of images) generate, as one level per base
+    point: deterministic Schreier-Sims (Sims, 1970; Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4).  The group's
+    order is the product of the orbit lengths.
+
+    That product only grows as the chain is built and never exceeds the
+    order, so the chain stops and returns None as soon as it passes
+    ``limit``.
+    """
+    identity = np.arange(gens.shape[1], dtype=gens.dtype)
+    ident = identity.tobytes()
+    levels: list[_Level] = []
+
+    def add(h: np.ndarray, first: int) -> None:
+        # h fixes the points of the levels before ``first``
+        if all(h[lev.point] == lev.point for lev in levels[first:]):
+            levels.append(_Level(int(np.flatnonzero(h != identity)[0]), identity))
+        for lev in levels[first:]:
+            lev.add(h)
+            if h[lev.point] != lev.point:
+                break
+
+    def sift(g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+        for j in range(start, len(levels)):
+            lev = levels[j]
+            at = lev.slot.get(int(g[lev.point]))
+            if at is None:
+                return g, j
+            g = lev.undo[at][g]
+        return g, len(levels)
+
+    def too_large() -> bool:
+        return limit is not None and math.prod(len(lev.orbit) for lev in levels) > limit
+
+    for s in gens:
+        if s.tobytes() != ident:
+            add(s, 0)
+    if too_large():
+        return None
+    i = len(levels) - 1
+    while i >= 0:
+        lev = levels[i]
+        found = None
+        for at, point in enumerate(lev.orbit):
+            u = lev.maps[at]
+            for s in lev.gens[lev.checked[at]:]:
+                lev.checked[at] += 1
+                # the Schreier generator u_{s(point)}^-1 s u fixes lev.point
+                g, j = sift(lev.undo[lev.slot[int(s[point])]][s[u]], i + 1)
+                if j < len(levels) or g.tobytes() != ident:
+                    found = g, j
+                    break
+            if found:
+                break
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        add(h, i + 1)
+        if too_large():
+            return None
+        i = j
+    return levels
+
+
+# ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
 
-def _group_from_permutations(perms: np.ndarray, family_tag: Optional[str]) -> GroupTable:
+def _permutation_group(
+    gens: np.ndarray, family_tag: Optional[str], limit: Optional[int] = None
+) -> GroupTable:
+    """The group that the rows of ``gens`` generate, listed through its
+    stabilizer chain: each element is one product u_1 u_2 ... u_k of maps
+    from the levels, top level first, built as block products of the levels'
+    map arrays and then sorted.  Raises ClosureOverflowError past ``limit``
+    elements, before any is listed.
+    """
+    levels = _stabilizer_chain(gens, limit)
+    if levels is None:
+        raise ClosureOverflowError(f"closure exceeds {limit} elements")
+    elements = np.arange(gens.shape[1], dtype=gens.dtype)[None, :]
+    for lev in reversed(levels):
+        # (u after p)[x] = u[p[x]]; the row of (i, r) lands at i * len(p) + r
+        elements = np.array(lev.maps)[:, elements].reshape(-1, gens.shape[1])
+    order = np.lexsort(elements.T[::-1])
+    sorted_at = np.empty(len(order), dtype=np.intp)
+    sorted_at[order] = np.arange(len(order))
+    lengths = [len(lev.orbit) for lev in levels]
+    return _group_from_permutations(elements[order], family_tag, sorted_at, lengths)
+
+
+def _group_from_permutations(
+    perms: np.ndarray,
+    family_tag: Optional[str],
+    sorted_at: np.ndarray,
+    lengths: Sequence[int],
+) -> GroupTable:
     """Assemble a GroupTable from an ``(n, d)`` array of distinct permutations
     (rows of images) in ascending lexicographic order, closed under
-    composition.
+    composition, that a stabilizer chain listed: ``sorted_at[c]`` is the row of
+    the element the chain listed c-th, and ``lengths`` are the chain's orbit
+    lengths, top level first.
 
     The columns c_0..c_{k-1} that decide the row order are a base of the
     group: an element is fixed by its images of those points.  Level l
@@ -361,6 +511,11 @@ def _group_from_permutations(perms: np.ndarray, family_tag: Optional[str]) -> Gr
     c_0..c_{l-1}: the cosets of their pointwise stabilizer.  Each kept column
     splits every such coset into at least two, so width_{l-1} <= n / 2^(k-l),
     and with a_l <= d the sum over l stays below n * d.
+
+    Up to :data:`TABLE_LIMIT` elements the multiplication table comes from
+    the chain, not from n^2 lookups: the left-multiplication row of
+    x = u y is row_u[row_y], so the rows of the chain's maps, found through
+    the lookup tables, compose level by level into every row.
     """
     n, d = perms.shape
     cols = _deciding_columns(perms)
@@ -404,10 +559,36 @@ def _group_from_permutations(perms: np.ndarray, family_tag: Optional[str]) -> Gr
     inverses = index(undo[:, c] for c in cols)
     identity = int(index(cols))
     labels = [cycle_notation(p) for p in perms.tolist()]
+    table = _chain_table(rule, sorted_at, lengths) if n <= TABLE_LIMIT else None
     return GroupTable(
-        n, rule=rule, inv=inverses.tolist(), identity=identity, labels=labels,
-        family_tag=family_tag,
+        n, table=table, rule=rule, inv=inverses.tolist(), identity=identity,
+        labels=labels, family_tag=family_tag,
     )
+
+
+def _chain_table(rule: Callable, sorted_at: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The int32 multiplication table of a group listed by a stabilizer
+    chain (see :func:`_group_from_permutations`), one level at a time."""
+    n = len(sorted_at)
+    every = np.arange(n)
+    rows = every[None, :].astype(np.int32)  # the products of the levels below
+    stride = 1
+
+    def maps(length):
+        # the left-multiplication rows of a level's maps, which the chain
+        # lists at i * stride
+        return rule(sorted_at[np.arange(length) * stride][:, None], every).astype(np.int32)
+
+    for length in reversed(lengths[1:]):
+        rows = maps(length)[:, rows].reshape(-1, n)
+        stride *= length
+    if not lengths:
+        return rows
+    # the top level writes each block straight into its sorted rows
+    table = np.empty((n, n), dtype=np.int32)
+    for i, row in enumerate(maps(lengths[0])):
+        table[sorted_at[i * stride:(i + 1) * stride]] = row[rows]
+    return table
 
 
 def _deciding_columns(perms: np.ndarray) -> list[int]:
@@ -482,16 +663,22 @@ def make_symmetric(n: int) -> GroupTable:
     """S_n on {1..n} with cycle-notation labels; bounded at n <= 8."""
     if not 1 <= n <= 8:
         raise SizeLimitError("symmetric group supported for 1 <= n <= 8")
-    perms = list(_iter_permutations(range(n)))
-    return _group_from_permutations(np.array(perms, dtype=np.uint8), f"S{n}")
+    # (1 2) and (1 2 ... n)
+    gens = np.array([np.arange(n), np.roll(np.arange(n), -1)], dtype=np.uint8)
+    if n > 1:
+        gens[0, :2] = 1, 0
+    return _permutation_group(gens, f"S{n}")
 
 
 def make_alternating(n: int) -> GroupTable:
     """A_n, the even permutations of {1..n}; bounded at n <= 8."""
     if not 1 <= n <= 8:
         raise SizeLimitError("alternating group supported for 1 <= n <= 8")
-    perms = [p for p in _iter_permutations(range(n)) if parity(p) == 0]
-    return _group_from_permutations(np.array(perms, dtype=np.uint8), f"A{n}")
+    # the 3-cycles (1 2 i) for 3 <= i <= n
+    gens = np.tile(np.arange(n, dtype=np.uint8), (max(n - 2, 0), 1))
+    for i, row in enumerate(gens, start=2):
+        row[[0, 1, i]] = 1, i, 0
+    return _permutation_group(gens, f"A{n}")
 
 
 def _normal_form_group(
@@ -565,7 +752,8 @@ def closure_from_permutations(
     gens: Iterable[tuple[int, ...] | str],
     family_tag: Optional[str] = None,
 ) -> GroupTable:
-    """Close a set of permutations under composition (BFS, capped).
+    """The group a set of permutations generates, capped at
+    :data:`CLOSURE_LIMIT` elements.
 
     Accepts images tuples or cycle-notation strings; all generators must act
     on the same ground set (inferred as the largest point mentioned when
@@ -587,24 +775,8 @@ def closure_from_permutations(
         raise InvalidParameterError("permutations act on different ground sets")
     if any(sorted(p) != list(range(width)) for p in raw):
         raise InvalidParameterError("generators must be permutations of 0..n-1")
-    seen = {tuple(range(width))}
-    frontier = [tuple(range(width))]
-    gens_t = [tuple(p) for p in raw]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens_t:
-                r = compose(q, p)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-                    if len(seen) > CLOSURE_LIMIT:
-                        raise ClosureOverflowError(
-                            f"closure exceeds {CLOSURE_LIMIT} elements"
-                        )
-        frontier = nxt
-    perms = np.array(sorted(seen), dtype=np.min_scalar_type(width - 1))
-    return _group_from_permutations(perms, family_tag=family_tag)
+    gens = np.array(raw, dtype=np.min_scalar_type(width - 1))
+    return _permutation_group(gens, family_tag, limit=CLOSURE_LIMIT)
 
 
 # ---------------------------------------------------------------------------

@@ -146,54 +146,61 @@ def _grow_ball(radius: int, identity, generators, kind: str) -> BallGraph:
     """
     subgroups = [_cyclic_subgroup(gen, identity) for gen in generators]
 
-    def coset(class_id: int, through) -> tuple:
-        members = (h * through for h in subgroups[class_id])
-        return tuple(sorted(members, key=lambda e: e.key()))
+    def coset(class_id: int, through) -> tuple[tuple, tuple]:
+        """The members of a class-c coset sorted by key, and their keys."""
+        # keys are distinct, so the elements themselves are never compared
+        pairs = sorted((e.key(), e) for e in (h * through for h in subgroups[class_id]))
+        return tuple(e for _, e in pairs), tuple(key for key, _ in pairs)
 
-    id_by_key: dict[tuple[int, tuple], int] = {}
-    vertices: list[tuple[int, tuple, int]] = []  # (class, members sorted by key, dist)
-    queue = deque()
+    # per class, member key -> vertex id, for every member of every vertex
+    owner: tuple[dict, dict] = ({}, {})
+    vertices: list[tuple[int, tuple, int]] = []  # (class, member keys, dist)
+    queue = deque()  # (vertex id, members) of each vertex not yet expanded
+
+    def add(class_id: int, members: tuple, keys: tuple, dist: int) -> int:
+        vid = len(vertices)
+        owner[class_id].update(dict.fromkeys(keys, vid))
+        vertices.append((class_id, keys, dist))
+        queue.append((vid, members))
+        return vid
+
     for class_id in (0, 1):
-        members = coset(class_id, identity)
-        id_by_key[(class_id, members[0].key())] = len(vertices)
-        vertices.append((class_id, members, 0))
-        queue.append(len(vertices) - 1)
+        add(class_id, *coset(class_id, identity), 0)
 
     edges: dict[tuple[int, int], int] = {}
     while queue:
-        vid = queue.popleft()
-        class_id, members, dist = vertices[vid]
+        vid, members = queue.popleft()
+        class_id, keys, dist = vertices[vid]
         other = 1 - class_id
-        # neighbour cosets by their first key: distinct cosets are disjoint
-        neighbor_members: dict[tuple, tuple] = {}
-        neighbor_mult: dict[tuple, int] = {}
-        for elem in members:
-            n_members = coset(other, elem)
-            key = n_members[0].key()
-            neighbor_members[key] = n_members
-            neighbor_mult[key] = neighbor_mult.get(key, 0) + 1
-        for key in sorted(neighbor_mult):
-            lookup = (other, key)
-            if lookup in id_by_key:
-                nid = id_by_key[lookup]
-            elif dist + 1 <= radius:
-                nid = len(vertices)
-                id_by_key[lookup] = nid
-                vertices.append((other, neighbor_members[key], dist + 1))
-                queue.append(nid)
-            else:
+        # Each member lies in one coset of the other class.  One already in
+        # the ball is found through its owner; a new one is computed once and
+        # named by its first key (distinct cosets are disjoint).
+        known: dict[int, int] = {}
+        fresh: dict[tuple, tuple[tuple, tuple]] = {}
+        fresh_mult: dict[tuple, int] = {}
+        first_key: dict[tuple, tuple] = {}  # member key -> its fresh coset's first key
+        for elem, member in zip(members, keys):
+            nid = owner[other].get(member)
+            if nid is not None:
+                known[nid] = known.get(nid, 0) + 1
                 continue
+            key = first_key.get(member)
+            if key is None:
+                fresh_coset = coset(other, elem)
+                key = fresh_coset[1][0]
+                fresh[key] = fresh_coset
+                first_key.update(dict.fromkeys(fresh_coset[1], key))
+            fresh_mult[key] = fresh_mult.get(key, 0) + 1
+        if dist + 1 <= radius:
+            for key in sorted(fresh):
+                known[add(other, *fresh[key], dist + 1)] = fresh_mult[key]
+        for nid, mult in known.items():
             a, b = (vid, nid) if vid < nid else (nid, vid)
-            edges[(a, b)] = neighbor_mult[key]
+            edges[(a, b)] = mult
 
     out_vertices = [
-        BallVertex(
-            class_id=class_id,
-            elements=tuple(e.key() for e in members),
-            interior=dist < radius,
-            distance=dist,
-        )
-        for class_id, members, dist in vertices
+        BallVertex(class_id=class_id, elements=keys, interior=dist < radius, distance=dist)
+        for class_id, keys, dist in vertices
     ]
     edge_list = sorted((u, v, m) for (u, v), m in edges.items())
     return BallGraph(radius, out_vertices, edge_list, centers=(0, 1), kind=kind)

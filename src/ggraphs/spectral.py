@@ -72,7 +72,8 @@ class AdjMatrix:
         if bounds[0] != 0 or bounds[-1] != m.shape[0] or list(bounds) != sorted(bounds):
             raise InvalidMatrixError("block bounds must partition the index range")
         for lo, hi in zip(bounds, bounds[1:]):
-            if np.any(m[lo:hi, lo:hi] != 0):
+            # a block of one vertex is its diagonal cell, checked above
+            if hi - lo > 1 and np.any(m[lo:hi, lo:hi] != 0):
                 raise InvalidMatrixError(
                     f"diagonal block [{lo}:{hi}] must be entirely zero"
                 )

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import permutations
 
 import numpy as np
@@ -29,6 +30,7 @@ from ggraphs.groups import (
     CLOSURE_LIMIT,
     TABLE_LIMIT,
     _assoc_sample,
+    _stabilizer_chain,
     compose,
     conjugacy_classes,
     cycle_notation,
@@ -392,6 +394,70 @@ def test_wide_permutation_group_matches_compose():
     # points past 9 are spaced, so every label reads back
     assert "(254 255)" in g.labels
     assert [parse_cycles(label, 255) for label in g.labels] == sorted(perms)
+
+
+def _bfs_closure(gens, cap):
+    """The closure of ``gens`` by breadth-first search over compose, or None
+    past ``cap`` elements: the reference the stabilizer chain replaced."""
+    identity = tuple(range(len(gens[0])))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for q in gens:
+                r = compose(q, p)
+                if r not in seen:
+                    seen.add(r)
+                    fresh.append(r)
+                    if len(seen) > cap:
+                        return None
+        frontier = fresh
+    return sorted(seen)
+
+
+def _random_generators(seed):
+    """One to three permutations of d = 2 + seed % 11 points, each a product
+    of one or two random cycles, the first through the last point: so that
+    points 10 to 12 move, and the groups range from Z2 to past the cap."""
+    rng = random.Random(seed)
+    d = 2 + seed % 11
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        p = tuple(range(d))
+        for _ in range(rng.randint(1, 2)):
+            points = rng.sample(range(d - 1), rng.randint(1, min(d - 1, 5)))
+            cycle = list(range(d))
+            for a, b in zip([d - 1] + points, points + [d - 1]):
+                cycle[a] = b
+            p = compose(tuple(cycle), p)
+        gens.append(p)
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(44))
+def test_chain_lists_the_bfs_closure(seed):
+    gens = _random_generators(seed)
+    expected = _bfs_closure(gens, CLOSURE_LIMIT)
+    if expected is None:
+        with pytest.raises(ClosureOverflowError):
+            closure_from_permutations(gens)
+        return
+    g = closure_from_permutations(gens)
+    d = len(gens[0])
+    assert [parse_cycles(label, d) for label in g.labels] == expected
+    if g.order <= 200:
+        _check_permutation_group(g, expected)
+    chain = _stabilizer_chain(np.array(gens))
+    assert math.prod(len(level.orbit) for level in chain) == len(expected)
+
+
+def test_closure_cap_is_decided_before_listing():
+    # S_255 from (1 2) and (1 2 ... 255): the chain's first two orbits
+    # already pass the cap, so no element is listed
+    start = time.perf_counter()
+    with pytest.raises(ClosureOverflowError, match="closure exceeds 10000 elements"):
+        closure_from_permutations(["(1 2)", "(" + " ".join(map(str, range(1, 256))) + ")"])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_group_with_large_base_tables_builds():

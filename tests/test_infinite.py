@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ggraphs import (
@@ -10,6 +12,7 @@ from ggraphs import (
     is_locally_finite,
     sl2z_ball,
 )
+from ggraphs.io import document_from_ball, dumps
 
 
 def test_mat2z_product_and_det():
@@ -142,3 +145,33 @@ def test_is_locally_finite():
     assert is_locally_finite([]) is True
     with pytest.raises(InvalidParameterError):
         is_locally_finite([0])
+
+
+# sha256 of dumps(document_from_ball(ball)): vertex numbering, edges and
+# multiplicities stay fixed however ball growth finds its cosets
+_BALL_SHA256 = {
+    ("sl2z", 0): "b31d0f3f6e365d7ecc8817f0ab8eea2712bb7ea59bf4ba49d4bb461ed8e64e8a",
+    ("sl2z", 1): "485ec448c4ab980fec679742eb8c5c7442db59de4721c377efc1ae0534094ac7",
+    ("sl2z", 2): "44aa7615ea8927e544357063754d9365d19ca9110a5ecbe56e50a06e7f852f5d",
+    ("sl2z", 3): "6ebc90f4bcb850ce9509fd4d9a629864f193a3178e7125a33981d617e859e64b",
+    ("sl2z", 4): "bbbf590787ebde4380b58229800119053c94d01397e6b592c5f2635badc1ad9c",
+    ("sl2z", 5): "0bc644ab2d6abe2b35b66f280b01e397136c14b95d02587fe58866ebd91a115b",
+    ("sl2z", 6): "9a8441e79b7ce2771018f3df109c5d699bfbb0db5547d2398748cec07452d56a",
+    ("sl2z", 7): "95fffec2924d4013f3d04365c3fe495b90c411a7aef91c6b74302d9b7f96d9ca",
+    ("sl2z", 8): "17580868dfb818d274b74b0c481c8ae8d1b6bcb2c606c0a5c107ef68d98e66f3",
+    ("sl2z", 9): "2f2378a7d10106444893b4b2792089669ffcecce9540f8b0754305e8ac6702e9",
+    ("sl2z", 10): "4617bc75beb863c0c5ded3523c55071bac9a5f4d9a1f92e4d698404bfac2e5f7",
+    ("sl2z", 11): "f9f56158bfb0fec6c8022f8dcba423a97117c6d5a4bd36db3ba27b979bf76b5d",
+    ("sl2z", 12): "dc6cc68d328ceffc488281e37dd97e9df6a3f713cdf6dbbab27070ef632c2258",
+    ("affine", 0): "9640feef32c68951ccbe92313fcdd77c0d5bf2883edeecbce12a5cf1eae6bc9f",
+    ("affine", 1): "139164b8f5eecc320ca34f462d20e444447b260df24096da30085c550fa49e99",
+    ("affine", 2): "b67f5c043643b34a66518a02754c57a4b245dc4121c01d8725bac0d4993ce9f2",
+    ("affine", 1000): "f1c3a5cc5feae9825c8335025d8b0ed9976333775acf2c486c5ad01dd58c2f98",
+}
+
+
+@pytest.mark.parametrize("kind, radius", sorted(_BALL_SHA256))
+def test_ball_documents_are_pinned(kind, radius):
+    ball = {"sl2z": sl2z_ball, "affine": affine_ball}[kind](radius)
+    text = dumps(document_from_ball(ball))
+    assert hashlib.sha256(text.encode()).hexdigest() == _BALL_SHA256[kind, radius]

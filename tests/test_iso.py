@@ -1,6 +1,9 @@
+import math
 import random
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fixture_catalog as cat
@@ -11,6 +14,7 @@ from ggraphs import (
     recognize_family,
 )
 from ggraphs.cli import main
+from ggraphs.groups import _stabilizer_chain
 from ggraphs.io import read_edge_list
 from ggraphs.iso import (
     COMPLETE,
@@ -325,6 +329,31 @@ def test_symmetric_64_vertex_graphs_need_few_search_nodes(name, build, monkeypat
         perm = list(range(graph.n))
         rng.shuffle(perm)
         assert canonical_form(graph.relabel(perm)).edges == base
+
+
+def _heawood():
+    """The Levi graph of the Fano plane, whose lines are {i, i+1, i+3} mod 7:
+    points 0..6, lines 7..13."""
+    g = Multigraph(14)
+    for line in range(7):
+        for point in (line, line + 1, line + 3):
+            g.add_edge(point % 7, 7 + line)
+    return g
+
+
+@pytest.mark.parametrize("name,build,order", [
+    ("Q6", lambda: hypercube_graph(6), 2**6 * math.factorial(6)),
+    ("heawood", _heawood, 336),
+    ("8C8", lambda: _copies(cycle_graph(8), 8), 16**8 * math.factorial(8)),
+    ("K8xK8", lambda: _rook(8), 2 * math.factorial(8) ** 2),
+])
+def test_automorphism_group_order_from_the_stabilizer_chain(name, build, order):
+    # all but the Heawood graph's group are far past the closure cap
+    graph = build()
+    start = time.perf_counter()
+    chain = _stabilizer_chain(np.array(canonical_form(graph).generators))
+    assert math.prod(len(level.orbit) for level in chain) == order
+    assert time.perf_counter() - start < 1.0
 
 
 def _orbits(n, generators):

@@ -71,6 +71,15 @@ def test_non_symmetric_matrix_rejected():
         AdjMatrix(matrix=bad, block_bounds=(0, 1, 2, 3))
 
 
+def test_loop_in_a_singleton_block_rejected():
+    # the path 0-1-2 with a loop at 1: vertex 1 is a block of its own, whose
+    # one cell is on the diagonal
+    loop = np.zeros((3, 3), dtype=np.int64)
+    loop[0, 1] = loop[1, 0] = loop[1, 2] = loop[2, 1] = loop[1, 1] = 1
+    with pytest.raises(InvalidMatrixError, match="diagonal must be zero"):
+        AdjMatrix(matrix=loop, block_bounds=(0, 1, 2, 3))
+
+
 @pytest.mark.parametrize(
     "entry, total",
     [(5_000_000_000, 10_000_000_000), (2**62, 2**63), (MULTIPLICITY_LIMIT // 2 + 1, None)],
