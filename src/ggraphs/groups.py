@@ -8,8 +8,8 @@ groups multiply through the rule.  A permutation group is built through a
 stabilizer chain (Schreier-Sims), which lists its elements and, up to
 :data:`TABLE_LIMIT`, composes its table; any other group tabulates its rule,
 32 rows at a time.  A permutation group finds the index of a product from
-its images of a base of the group, read through one small table per base
-point, with no search.
+its images of the chain's base points, one table read per level, with no
+search.
 Construction checks the identity and inverse laws on every element, and
 associativity on every triple up to order 64 and, above it, on 10^5 triples
 drawn with a fixed seed once per process.
@@ -312,6 +312,7 @@ def parse_cycles(text: str, n: Optional[int] = None) -> tuple[int, ...]:
     if text[0] != "(" or text[-1] != ")":
         raise InvalidParameterError(f"not cycle notation: {text!r}")
     cycles: list[list[int]] = []
+    seen: set[int] = set()
     for chunk in text[1:-1].split(")("):
         pts = []
         cleaned = chunk.replace(",", " ")
@@ -322,11 +323,15 @@ def parse_cycles(text: str, n: Optional[int] = None) -> tuple[int, ...]:
         for tok in tokens:
             if not tok.isdigit():
                 raise InvalidParameterError(f"bad cycle point {tok!r} in {text!r}")
-            pts.append(int(tok))
+            point = int(tok)
+            if point == 0:
+                raise InvalidParameterError(f"point 0 in {text!r}: points start at 1")
+            if point in seen:
+                raise InvalidParameterError(f"point {point} occurs twice in {text!r}")
+            seen.add(point)
+            pts.append(point)
         if len(pts) < 2:
             raise InvalidParameterError(f"cycle too short in {text!r}")
-        if len(set(pts)) != len(pts):
-            raise InvalidParameterError(f"repeated point in {text!r}")
         cycles.append(pts)
     top = max(max(c) for c in cycles)
     if n is None:
@@ -465,110 +470,92 @@ def _stabilizer_chain(gens: np.ndarray, limit: Optional[int] = None) -> Optional
 def _permutation_group(
     gens: np.ndarray, family_tag: Optional[str], limit: Optional[int] = None
 ) -> GroupTable:
-    """The group that the rows of ``gens`` generate, listed through its
-    stabilizer chain: each element is one product u_1 u_2 ... u_k of maps
-    from the levels, top level first, built as block products of the levels'
-    map arrays and then sorted.  Raises ClosureOverflowError past ``limit``
-    elements, before any is listed.
+    """The group that the rows of ``gens`` (a ``(k, d)`` array of images)
+    generate, through its stabilizer chain.  Raises ClosureOverflowError past
+    ``limit`` elements, before any is listed.
+
+    The chain lists each element as one product u_1 u_2 ... u_k of maps from
+    the levels, numbered by its maps' orbit positions in mixed radix, top
+    level first: block products of the levels' map arrays.  The elements are
+    then sorted, and ``sorted_at[c]`` is the index of the one listed c-th.
+    The identity, the row 0..d-1, sorts first.
+
+    The chain's base points b_1..b_k find an element from its images, with
+    no search.  Take g = u_1 ... u_k and W = (u_1 ... u_{l-1})^-1.  Every map
+    below level l fixes b_l, so u_l maps b_l to W[g[b_l]], whose orbit slot
+    is u_l's position.  Level l keeps a table from the positions p of
+    u_1..u_{l-1} and a point x to the start of the next level's cells,
+    ``(p * |O_l| + slot[W_p[x]]) * d``; the last level keeps the sorted
+    index instead.  A product or an inverse is found by k table reads.
+    Level l has d times the product of the orbit lengths above it cells;
+    every orbit has two points or more, so the tables hold fewer cells than
+    the group's n x d images.
+
+    Up to :data:`TABLE_LIMIT` elements the multiplication table comes from
+    the chain, not from n^2 lookups (see :func:`_chain_table`).
     """
     levels = _stabilizer_chain(gens, limit)
     if levels is None:
         raise ClosureOverflowError(f"closure exceeds {limit} elements")
-    elements = np.arange(gens.shape[1], dtype=gens.dtype)[None, :]
+    d = gens.shape[1]
+    identity = np.arange(d, dtype=gens.dtype)[None, :]
+    perms = identity
     for lev in reversed(levels):
         # (u after p)[x] = u[p[x]]; the row of (i, r) lands at i * len(p) + r
-        elements = np.array(lev.maps)[:, elements].reshape(-1, gens.shape[1])
-    order = np.lexsort(elements.T[::-1])
-    sorted_at = np.empty(len(order), dtype=np.intp)
-    sorted_at[order] = np.arange(len(order))
-    lengths = [len(lev.orbit) for lev in levels]
-    return _group_from_permutations(elements[order], family_tag, sorted_at, lengths)
+        perms = np.array(lev.maps)[:, perms].reshape(-1, d)
+    order = np.lexsort(perms.T[::-1])
+    perms = perms[order]
+    n = len(perms)
+    sorted_at = np.empty(n, dtype=np.intp)
+    sorted_at[order] = np.arange(n)
+    # one row at a time: a list of every image would be the peak of a wide group
+    labels = [cycle_notation(p.tolist()) for p in perms]
 
-
-def _group_from_permutations(
-    perms: np.ndarray,
-    family_tag: Optional[str],
-    sorted_at: np.ndarray,
-    lengths: Sequence[int],
-) -> GroupTable:
-    """Assemble a GroupTable from an ``(n, d)`` array of distinct permutations
-    (rows of images) in ascending lexicographic order, closed under
-    composition, that a stabilizer chain listed: ``sorted_at[c]`` is the row of
-    the element the chain listed c-th, and ``lengths`` are the chain's orbit
-    lengths, top level first.
-
-    The columns c_0..c_{k-1} that decide the row order are a base of the
-    group: an element is fixed by its images of those points.  Level l
-    numbers the images that occur in column c_l (its alphabet, of size a_l)
-    and keeps a table from a row's prefix on c_0..c_{l-1} and the code of its
-    image at c_l to the rank of its prefix on c_0..c_l among the distinct
-    prefixes.  The rows are sorted, so these ranks ascend with the rows, and
-    the rank at the last level is the element's index: a product, an inverse
-    or the identity is found by k table reads, with no search.
-
-    The tables hold fewer cells than ``perms``.  Level l has width_{l-1} * a_l
-    cells, where width_{l-1} is the number of distinct prefixes on
-    c_0..c_{l-1}: the cosets of their pointwise stabilizer.  Each kept column
-    splits every such coset into at least two, so width_{l-1} <= n / 2^(k-l),
-    and with a_l <= d the sum over l stays below n * d.
-
-    Up to :data:`TABLE_LIMIT` elements the multiplication table comes from
-    the chain, not from n^2 lookups: the left-multiplication row of
-    x = u y is row_u[row_y], so the rows of the chain's maps, found through
-    the lookup tables, compose level by level into every row.
-    """
-    n, d = perms.shape
-    cols = _deciding_columns(perms)
-    codes = []
-    for c in cols:
-        # np.unique would load numpy.ma, 0.8 MB of RSS
-        occurs = np.zeros(d, dtype=np.intp)
-        occurs[perms[:, c]] = 1
-        codes.append(np.cumsum(occurs) - 1)
-    sizes = [int(code[-1]) + 1 for code in codes]
-    # Each table stores the rank times the next alphabet size, which is where
-    # the next level's cells of that prefix start.
-    levels = []
-    start = np.zeros(n, dtype=np.intp)
-    for c, code, size, stride in zip(cols, codes, sizes, sizes[1:] + [1]):
-        cell = start + code[perms[:, c]]
-        rank = np.cumsum(np.concatenate(([False], cell[1:] != cell[:-1])))
-        table = np.zeros(int(start[-1]) + size, dtype=np.intp)
-        start = rank * stride
-        table[cell] = start
-        levels.append((code, table))
+    tables = []
+    undo = identity  # the row W_p of each prefix p, top level first
+    for lev in levels:
+        slot = np.zeros(d, dtype=np.intp)
+        slot[lev.orbit] = np.arange(len(lev.orbit))
+        cell = slot[undo]
+        cell += np.arange(len(undo))[:, None] * len(lev.orbit)
+        if lev is levels[-1]:
+            cell = sorted_at[cell]
+        else:
+            cell *= d
+            # W of prefix p extended by u_j is u_j^-1 W_p, at p * |O_l| + j
+            rows = np.arange(len(lev.orbit))[:, None]
+            undo = np.array(lev.undo)[rows, undo[:, None]].reshape(-1, d)
+        tables.append(cell.ravel())
 
     def index(images):
-        """Element indices from the images of c_0, c_1, ... in order."""
+        """Element indices from the images of b_1, b_2, ... in order."""
         at = 0
-        for (code, table), image in zip(levels, images):
-            at = table[at + code[image]]
+        for table, image in zip(tables, images):
+            at = table[at + image]
         return at
 
     flat = perms.ravel()
-    columns = [np.ascontiguousarray(perms[:, c]) for c in cols]
+    columns = [np.ascontiguousarray(perms[:, lev.point]) for lev in levels]
 
     def rule(a, b):
-        # (p*q)[c] = p[q[c]], read from p's row in the flattened array
+        # (p*q)[b_l] = p[q[b_l]], read from p's row in the flattened array
         base = np.multiply(a, d)
         return index(flat[base + column[b]] for column in columns)
 
-    # the images of an inverse: p^-1[p[j]] = j
-    undo = np.empty_like(perms)
-    undo[np.arange(n)[:, None], perms] = np.arange(d, dtype=perms.dtype)
-    inverses = index(undo[:, c] for c in cols)
-    identity = int(index(cols))
-    labels = [cycle_notation(p) for p in perms.tolist()]
+    # p^-1[b_l] is the point that p maps to b_l; a trivial group has no
+    # levels, so index gives its one element as a scalar
+    inverses = np.atleast_1d(index((perms == lev.point).argmax(axis=1) for lev in levels))
+    lengths = [len(lev.orbit) for lev in levels]
     table = _chain_table(rule, sorted_at, lengths) if n <= TABLE_LIMIT else None
     return GroupTable(
-        n, table=table, rule=rule, inv=inverses.tolist(), identity=identity,
-        labels=labels, family_tag=family_tag,
+        n, table=table, rule=rule, inv=inverses.tolist(), labels=labels,
+        family_tag=family_tag,
     )
 
 
 def _chain_table(rule: Callable, sorted_at: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     """The int32 multiplication table of a group listed by a stabilizer
-    chain (see :func:`_group_from_permutations`), one level at a time."""
+    chain (see :func:`_permutation_group`), one level at a time."""
     n = len(sorted_at)
     every = np.arange(n)
     rows = every[None, :].astype(np.int32)  # the products of the levels below
@@ -589,22 +576,6 @@ def _chain_table(rule: Callable, sorted_at: np.ndarray, lengths: Sequence[int]) 
     for i, row in enumerate(maps(lengths[0])):
         table[sorted_at[i * stride:(i + 1) * stride]] = row[rows]
     return table
-
-
-def _deciding_columns(perms: np.ndarray) -> list[int]:
-    """Columns that decide the order of sorted, distinct rows: column 0, and
-    each column that splits adjacent rows agreeing on every column before it.
-    On a group each kept column multiplies the number of distinct prefixes
-    (cosets of a point stabilizer), so at most log2(n) are kept.
-    """
-    cols: list[int] = []
-    split = np.zeros(len(perms) - 1, dtype=bool)
-    for c in range(perms.shape[1]):
-        now = split | (perms[1:, c] != perms[:-1, c])
-        if not cols or now.sum() > split.sum():
-            cols.append(c)
-        split = now
-    return cols
 
 
 def make_cyclic(n: int) -> GroupTable:
@@ -771,6 +742,8 @@ def closure_from_permutations(
             width = max(width, len(img))
         raw = [tuple(img) + tuple(range(len(img), width)) for img in parsed]
     width = len(raw[0])
+    if not width:
+        raise InvalidParameterError("a permutation on zero points generates no group")
     if any(len(p) != width for p in raw):
         raise InvalidParameterError("permutations act on different ground sets")
     if any(sorted(p) != list(range(width)) for p in raw):

@@ -172,6 +172,35 @@ def test_closure_from_permutations():
         closure_from_permutations(["(12)", "(12345678)"])
 
 
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        ("(1 2)(2 1)", 2),
+        ("(12)(21)", 2),
+        ("(1 2)(1 3)", 1),
+        ("(1 2 3)(3 2 1)", 3),
+        ("(1 2 1)", 1),
+        ("(0 1)", 0),
+    ],
+)
+def test_parse_cycles_refuses_non_permutations(text, point):
+    with pytest.raises(InvalidParameterError, match=rf"^point {point} "):
+        parse_cycles(text)
+
+
+def test_closure_on_zero_points_is_refused():
+    with pytest.raises(InvalidParameterError, match="zero points"):
+        closure_from_permutations([()])
+    # the trivial group on one or two points still builds
+    for g in (
+        closure_from_permutations(["e"]),
+        make_symmetric(1),
+        make_alternating(1),
+        make_alternating(2),
+    ):
+        assert (g.order, g.labels, g.identity, g.inv(0)) == (1, ("e",), 0, 0)
+
+
 def test_element_order_basics():
     s4 = make_symmetric(4)
     assert element_order(s4, s4.identity) == 1
@@ -351,6 +380,34 @@ def test_closure_table_matches_compose():
     _check_permutation_group(g, perms)
 
 
+def _check_sampled_products(g, perms, samples):
+    """``perms`` sorted; ``samples`` seeded products, every inverse and the
+    identity against ``compose`` and ``np.argsort``."""
+    index = {p: i for i, p in enumerate(perms)}
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, g.order, (2, samples))
+    assert g.products(a, b).tolist() == [
+        index[compose(perms[x], perms[y])] for x, y in zip(a.tolist(), b.tolist())
+    ]
+    assert [g.inv(x) for x in range(g.order)] == [
+        index[tuple(np.argsort(p).tolist())] for p in perms
+    ]
+    assert g.identity == index[tuple(range(len(perms[0])))]
+
+
+def _swap_closure(swaps, d):
+    """The sorted elements of the group that disjoint transpositions, in
+    cycle notation, generate on ``d`` points."""
+    perms = {tuple(range(d))}
+    for swap in swaps:
+        perms |= {compose(parse_cycles(swap, d), p) for p in perms}
+    return sorted(perms)
+
+
+# (1 2), (3 4), ..., (23 24) and (39 40): order 8192, a chain of 13 levels
+_ELEMENTARY = [f"({i} {i + 1})" for i in range(1, 24, 2)] + ["(39 40)"]
+
+
 @pytest.mark.parametrize(
     "make, perms",
     [
@@ -360,40 +417,31 @@ def test_closure_table_matches_compose():
          lambda: list(permutations(range(7)))),
         (lambda: make_alternating(7),
          lambda: [p for p in permutations(range(7)) if parity(p) == 0]),
+        (lambda: closure_from_permutations(_ELEMENTARY),
+         lambda: _swap_closure(_ELEMENTARY, 40)),
     ],
-    ids=["sym7", "closure-sym7", "alt7"],
+    ids=["sym7", "closure-sym7", "alt7", "elementary-8192"],
 )
 def test_rule_backed_permutation_group_matches_compose(make, perms):
     g, perms = make(), perms()
     assert g.order > TABLE_LIMIT
-    index = {p: i for i, p in enumerate(perms)}
-    rng = np.random.default_rng(3)
-    a, b = rng.integers(0, g.order, (2, 100_000))
-    assert g.products(a, b).tolist() == [
-        index[compose(perms[x], perms[y])] for x, y in zip(a.tolist(), b.tolist())
-    ]
-    assert [g.inv(x) for x in range(g.order)] == [
-        index[tuple(np.argsort(p).tolist())] for p in perms
-    ]
-    assert g.identity == index[tuple(range(7))]
+    _check_sampled_products(g, perms, 100_000)
 
 
-# Seven disjoint transpositions and (254 255): order 256 on 255 points, so
-# 255 ** 8 keys of the deciding columns would not fit in 64 bits.
+# Seven disjoint transpositions and (254 255): order 256 on 255 points.  Its
+# chain has eight levels, one per transposition, whose base points' images
+# would not fit in 64 bits as one base-255 key (255 ** 8).
 _WIDE = [f"({i} {i + 1})" for i in range(1, 14, 2)] + ["(254 255)"]
 
 
 def test_wide_permutation_group_matches_compose():
     g = closure_from_permutations(_WIDE)
-    swaps = [parse_cycles(text, 255) for text in _WIDE]
-    perms = {tuple(range(255))}
-    for swap in swaps:
-        perms |= {compose(swap, p) for p in perms}
+    perms = _swap_closure(_WIDE, 255)
     assert g.order == 256
-    _check_permutation_group(g, sorted(perms))
+    _check_permutation_group(g, perms)
     # points past 9 are spaced, so every label reads back
     assert "(254 255)" in g.labels
-    assert [parse_cycles(label, 255) for label in g.labels] == sorted(perms)
+    assert [parse_cycles(label, 255) for label in g.labels] == perms
 
 
 def _bfs_closure(gens, cap):
@@ -447,6 +495,7 @@ def test_chain_lists_the_bfs_closure(seed):
     assert [parse_cycles(label, d) for label in g.labels] == expected
     if g.order <= 200:
         _check_permutation_group(g, expected)
+    _check_sampled_products(g, expected, 10_000)
     chain = _stabilizer_chain(np.array(gens))
     assert math.prod(len(level.orbit) for level in chain) == len(expected)
 
@@ -461,10 +510,10 @@ def test_closure_cap_is_decided_before_listing():
 
 
 def test_group_with_large_base_tables_builds():
-    # <(1 .. 725)(726 .. 2175)> has order 1450 on 2175 points.  Its deciding
-    # columns are points 1 and 726, with 725 and 1450 images, so its level
-    # tables hold 725 + 725 * 1450 cells, more than one 1024 x 1024 table.
-    # Fewer than its 1450 x 2175 images, so no bound may refuse it.
+    # <(1 .. 725)(726 .. 2175)> has order 1450 on 2175 points.  Its chain's
+    # base points are 1 and 726, with orbits of 725 and 2 points, so its
+    # level tables hold 2175 + 725 * 2175 cells, more than one 1024 x 1024
+    # table.  Fewer than its 1450 x 2175 images, so no bound may refuse it.
     cycles = [range(1, 726), range(726, 2176)]
     g = closure_from_permutations(
         ["".join("(" + " ".join(map(str, c)) + ")" for c in cycles)]

@@ -242,6 +242,15 @@ def test_cli_build_wide_permutation_group(capsys, gens, vertices):
     assert f"vertices: {vertices} (predicted {vertices})" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "spec, point",
+    [("perm:(1 2)(2 1)", 2), ("perm:(1 2 3)(3 2 1)", 3), ("perm:(0 1)", 0)],
+)
+def test_cli_build_refuses_a_non_permutation(capsys, spec, point):
+    assert main(["build", "--group", spec, "--gens", "(12)"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: point {point} ")
+
+
 def test_cli_build_edges_format(tmp_path, capsys):
     out = tmp_path / "q.edges"
     assert main(["build", "--group", "genq:2", "--gens", "a,b",
