@@ -81,9 +81,11 @@ def check_subgroup_subgraph(
     """Does the subgroup generated by a subsequence induce its own coset graph?
 
     ``h_positions`` selects positions of ``s``; H is the closure of those
-    elements.  Returns True iff the subgraph of the big graph induced by the
-    cosets wholly contained in H matches the coset graph of (H, selection)
-    class by class with equal multiplicities.
+    elements.  Each vertex of the coset graph of (H, selection) is mapped to
+    the vertex of the big graph with the same coset.  Returns True iff, class
+    by class, those are exactly the big graph's cosets wholly contained in H,
+    and the mapped edges are the edges the big graph induces on them, with
+    equal multiplicities.
     """
     from .groups import make_gen_sequence, subgroup_table
 
@@ -96,43 +98,24 @@ def check_subgroup_subgraph(
     big = build_ggraph(g, s)
     sub_elements = [s.positions[p] for p in h_positions]
     h, to_sub = subgroup_table(g, sub_elements)
-    from_sub = {v: k for k, v in to_sub.items()}
-    h_seq = make_gen_sequence(h, [to_sub[x] for x in sub_elements])
-    small = build_ggraph(h, h_seq)
-    h_set = set(to_sub)
+    small = build_ggraph(h, make_gen_sequence(h, [to_sub[x] for x in sub_elements]))
+    members = list(to_sub)  # ascending, so a coset's parent indices stay sorted
 
-    # Vertices of the induced subgraph: big-graph cosets fully inside H,
-    # restricted to the selected classes.
-    contained: dict[int, dict[frozenset, int]] = {}
+    # image[v]: the big-graph vertex whose coset is that of small vertex v
+    image: list[int] = []
     for idx, p in enumerate(h_positions):
-        per_class = {}
-        for local, coset in enumerate(big.partitions[p]):
-            if set(coset.elements) <= h_set:
-                per_class[frozenset(coset.elements)] = big.class_offsets[p] + local
-        contained[idx] = per_class
-
-    # The small graph's cosets, mapped back to parent element indices.
-    small_vertex: dict[int, dict[frozenset, int]] = {}
-    for idx in range(len(h_positions)):
-        mapped = {}
-        for local, coset in enumerate(small.partitions[idx]):
-            parent = frozenset(from_sub[e] for e in coset.elements)
-            mapped[parent] = small.class_offsets[idx] + local
-        small_vertex[idx] = mapped
-        if set(mapped) != set(contained[idx]):
+        contained = {
+            coset.elements: big.class_offsets[p] + local
+            for local, coset in enumerate(big.partitions[p])
+            if all(x in to_sub for x in coset.elements)
+        }
+        cosets = [tuple(members[x] for x in coset.elements) for coset in small.partitions[idx]]
+        if set(cosets) != set(contained):
             return False
+        image += [contained[c] for c in cosets]
 
-    # Multiplicities must agree pairwise.
-    big_mult = {(u, v): m for u, v, m in big.edges}
-    small_mult = {(u, v): m for u, v, m in small.edges}
-    for i in range(len(h_positions)):
-        for j in range(i + 1, len(h_positions)):
-            for coset_i, big_u in contained[i].items():
-                for coset_j, big_v in contained[j].items():
-                    a, b = min(big_u, big_v), max(big_u, big_v)
-                    small_u = small_vertex[i][coset_i]
-                    small_v = small_vertex[j][coset_j]
-                    c, d = min(small_u, small_v), max(small_u, small_v)
-                    if big_mult.get((a, b), 0) != small_mult.get((c, d), 0):
-                        return False
-    return True
+    kept = set(image)
+    induced = {(u, v): m for u, v, m in big.edges if u in kept and v in kept}
+    # a repeated position maps two classes onto one, whose edges are not induced
+    mapped = {tuple(sorted((image[u], image[v]))): m for u, v, m in small.edges}
+    return mapped == induced

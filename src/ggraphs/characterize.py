@@ -75,8 +75,12 @@ class CharacterizationVerdict:
     class_degrees: Optional[tuple[int, ...]] = None
     group_order: Optional[int] = None
     gen_orders: Optional[tuple[int, ...]] = None
-    presentation: Optional[str] = None
     refusal_reason: Optional[str] = None
+
+    @property
+    def presentation(self) -> Optional[str]:
+        """The order-constraints presentation, when the orders are known."""
+        return None if self.gen_orders is None else order_presentation(self.gen_orders)
 
 
 def order_presentation(orders: Sequence[int]) -> str:
@@ -281,7 +285,6 @@ def _trivial_verdict(mg: Multigraph, components: int) -> Optional[Characterizati
         # full-order generator; the order is not recoverable from the graph.
         return CharacterizationVerdict(
             status=ACCEPT, k=1, class_sizes=(1,), class_degrees=(0,),
-            group_order=None, gen_orders=None, presentation=None,
         )
     return None
 
@@ -376,7 +379,6 @@ def _verdict_from_parameters(
     return CharacterizationVerdict(
         status=ACCEPT, k=k, class_sizes=tuple(sizes), class_degrees=tuple(class_degs),
         group_order=2 * total_mult // (k * (k - 1)), gen_orders=orders,
-        presentation=order_presentation(orders),
     )
 
 

@@ -141,29 +141,20 @@ def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
     if units > MULTIPLICITY_LIMIT:
         raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
     partitions = []
-    coset_index_per_class = []
-    for i, x in enumerate(s.positions):
-        cosets = right_cosets(g, x, gen_position=i)
-        partitions.append(tuple(cosets))
+    vertex_of = []  # per class: element -> the vertex id of its coset
+    for x in s.positions:
+        cosets = right_cosets(g, x)
         where = [0] * g.order
-        for local, coset in enumerate(cosets):
+        for v, coset in enumerate(cosets, start=sum(map(len, partitions))):
             for elem in coset.elements:
-                where[elem] = local
-        coset_index_per_class.append(where)
-
-    offsets = [0]
-    for part in partitions:
-        offsets.append(offsets[-1] + len(part))
+                where[elem] = v
+        partitions.append(tuple(cosets))
+        vertex_of.append(where)
 
     mult: dict[tuple[int, int], int] = {}
     for i in range(k):
-        where_i = coset_index_per_class[i]
-        off_i = offsets[i]
         for j in range(i + 1, k):
-            where_j = coset_index_per_class[j]
-            off_j = offsets[j]
-            for x in range(g.order):
-                key = (off_i + where_i[x], off_j + where_j[x])
+            for key in zip(vertex_of[i], vertex_of[j]):
                 mult[key] = mult.get(key, 0) + 1
 
     edges = tuple(sorted((u, v, m) for (u, v), m in mult.items()))

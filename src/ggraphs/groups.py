@@ -35,6 +35,7 @@ from .errors import (
     NotAGeneratingSetError,
     SizeLimitError,
 )
+from .multigraph import VERTEX_LIMIT
 
 TABLE_LIMIT = 1024
 CLOSURE_LIMIT = 10_000
@@ -47,8 +48,9 @@ _BLOCK_ROWS = 32
 class GroupTable:
     """A finite group on element indices ``0..order-1``.
 
-    ``mul`` is total, ``identity`` is the index of the neutral element and
-    ``labels`` gives a distinct display string per element.  A ``rule`` maps
+    ``mul`` is total, the neutral element is element 0, which every
+    constructor lists first (``identity`` reads 0), and ``labels`` gives a
+    distinct display string per element.  A ``rule`` maps
     index arrays (or ints) broadcast together to the indices of their
     products.  Instances are immutable after construction, except for
     ``_order_cache``, a memo of element orders that ``element_order`` fills,
@@ -56,9 +58,10 @@ class GroupTable:
     and every thread stores the same order for an element.
     """
 
+    identity = 0
+
     __slots__ = (
         "order",
-        "identity",
         "labels",
         "family_tag",
         "designated",
@@ -76,7 +79,6 @@ class GroupTable:
         table: Optional[np.ndarray] = None,
         rule: Optional[Callable] = None,
         inv: Optional[Sequence[int]] = None,
-        identity: int = 0,
         labels: Sequence[str],
         family_tag: Optional[str] = None,
         designated: Optional[dict[str, int]] = None,
@@ -93,7 +95,6 @@ class GroupTable:
             if table.shape != (order, order) or table.min() < 0 or table.max() >= order:
                 raise InvalidParameterError("table must be order x order over 0..order-1")
         self.order = order
-        self.identity = identity
         self.labels = tuple(labels)
         self.family_tag = family_tag
         self.designated = dict(designated or {})
@@ -158,8 +159,8 @@ class GroupTable:
         if len(set(self.labels)) != n:
             raise InvalidParameterError("labels must be pairwise distinct")
         inv = np.asarray(self._inv)
-        if not 0 <= e < n or inv.shape != (n,) or not ((inv >= 0) & (inv < n)).all():
-            raise InvalidParameterError("identity and inverses must be element indices")
+        if inv.shape != (n,) or not ((inv >= 0) & (inv < n)).all():
+            raise InvalidParameterError("inverses must be element indices")
         every = np.arange(n)
         _require(
             (self.products(e, every) == every) & (self.products(every, e) == every),
@@ -240,12 +241,7 @@ class GenSequence:
 class Coset:
     """A right coset ``<s>x`` of a cyclic subgroup, as sorted element indices."""
 
-    gen_position: int
     elements: tuple[int, ...]
-
-    @property
-    def rep(self) -> int:
-        return self.elements[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +300,9 @@ def parse_cycles(text: str, n: Optional[int] = None) -> tuple[int, ...]:
     """Parse cycle notation like ``(12)(34)`` or ``(1 2)`` into an images tuple.
 
     Points are 1-based in the text.  When ``n`` is None the ground set is the
-    largest point mentioned.  ``e`` and ``()`` denote the identity.
+    largest point mentioned, so a point above ``multigraph.VERTEX_LIMIT`` is
+    refused before any list is sized from it.  ``e`` and ``()`` denote the
+    identity.
     """
     text = text.strip()
     if text in ("e", "()", "(e)", ""):
@@ -326,6 +324,8 @@ def parse_cycles(text: str, n: Optional[int] = None) -> tuple[int, ...]:
             point = int(tok)
             if point == 0:
                 raise InvalidParameterError(f"point 0 in {text!r}: points start at 1")
+            if point > VERTEX_LIMIT:
+                raise InvalidParameterError(f"point {point} in {text!r} exceeds {VERTEX_LIMIT}")
             if point in seen:
                 raise InvalidParameterError(f"point {point} occurs twice in {text!r}")
             seen.add(point)
@@ -395,6 +395,25 @@ def _inverse(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _longest_orbit(gens: np.ndarray) -> int:
+    """The number of points in the longest orbit of the rows of ``gens``."""
+    rows = gens.tolist()
+    seen = [False] * gens.shape[1]
+    longest = 0
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for row in rows:
+                if not seen[row[x]]:
+                    seen[row[x]] = True
+                    orbit.append(row[x])
+        longest = max(longest, len(orbit))
+    return longest
+
+
 def _stabilizer_chain(gens: np.ndarray, limit: Optional[int] = None) -> Optional[list[_Level]]:
     """A base and strong generating set of the group that the rows of
     ``gens`` (a ``(k, d)`` array of images) generate, as one level per base
@@ -404,8 +423,12 @@ def _stabilizer_chain(gens: np.ndarray, limit: Optional[int] = None) -> Optional
 
     That product only grows as the chain is built and never exceeds the
     order, so the chain stops and returns None as soon as it passes
+    ``limit``.  No orbit is longer than the group, so it returns None before
+    it stores any map when some point's orbit under ``gens`` is longer than
     ``limit``.
     """
+    if limit is not None and _longest_orbit(gens) > limit:
+        return None
     identity = np.arange(gens.shape[1], dtype=gens.dtype)
     ident = identity.tobytes()
     levels: list[_Level] = []
@@ -586,28 +609,28 @@ def make_cyclic(n: int) -> GroupTable:
         raise SizeLimitError(f"group order {n} exceeds {CLOSURE_LIMIT}")
     return GroupTable(
         n, rule=lambda a, b: (a + b) % n, inv=[(-i) % n for i in range(n)],
-        identity=0, labels=[str(i) for i in range(n)], family_tag=f"Z{n}",
+        labels=[str(i) for i in range(n)], family_tag=f"Z{n}",
     )
 
 
 def make_trivial() -> GroupTable:
     return GroupTable(
-        1, table=np.zeros((1, 1), dtype=np.int32), inv=[0], identity=0,
-        labels=["e"], family_tag="Z1", designated={"e": 0},
+        1, table=np.zeros((1, 1), dtype=np.int32), inv=[0], labels=["e"],
+        family_tag="Z1", designated={"e": 0},
     )
 
 
 def make_klein() -> GroupTable:
     """The Klein four-group; mul is XOR on two bits, labels e,a,b,ab."""
     return GroupTable(
-        4, rule=np.bitwise_xor, inv=[0, 1, 2, 3], identity=0,
-        labels=["e", "a", "b", "ab"], family_tag="V4",
-        designated={"a": 1, "b": 2, "ab": 3},
+        4, rule=np.bitwise_xor, inv=[0, 1, 2, 3], labels=["e", "a", "b", "ab"],
+        family_tag="V4", designated={"a": 1, "b": 2, "ab": 3},
     )
 
 
 def make_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    """Componentwise product; element (x, y) has index x*|h| + y."""
+    """Componentwise product; element (x, y) has index x*|h| + y, so the
+    identity (0, 0) is element 0."""
     n, m = g.order, h.order
     total = n * m
     if total > CLOSURE_LIMIT:
@@ -616,7 +639,6 @@ def make_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
         f"({g.labels[x]},{h.labels[y]})" for x in range(n) for y in range(m)
     ]
     inv = [g.inv(x) * m + h.inv(y) for x in range(n) for y in range(m)]
-    identity = g.identity * m + h.identity
     tag = None
     if g.family_tag and h.family_tag:
         tag = f"{g.family_tag}x{h.family_tag}"
@@ -624,10 +646,7 @@ def make_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     def rule(a, b):
         return g.products(a // m, b // m) * m + h.products(a % m, b % m)
 
-    return GroupTable(
-        total, rule=rule, inv=inv, identity=identity, labels=labels,
-        family_tag=tag,
-    )
+    return GroupTable(total, rule=rule, inv=inv, labels=labels, family_tag=tag)
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -687,8 +706,8 @@ def _normal_form_group(
         return i3 + na * ((j1 + j2) % 2)
 
     return GroupTable(
-        total, rule=rule, inv=inv, identity=0, labels=labels,
-        family_tag=family_tag, designated=designated,
+        total, rule=rule, inv=inv, labels=labels, family_tag=family_tag,
+        designated=designated,
     )
 
 
@@ -719,10 +738,7 @@ def make_semidihedral(k: int) -> GroupTable:
     return _normal_form_group(4 * k, 2 * k - 1, 0, "a", "b", f"SD{8 * k}")
 
 
-def closure_from_permutations(
-    gens: Iterable[tuple[int, ...] | str],
-    family_tag: Optional[str] = None,
-) -> GroupTable:
+def closure_from_permutations(gens: Iterable[tuple[int, ...] | str]) -> GroupTable:
     """The group a set of permutations generates, capped at
     :data:`CLOSURE_LIMIT` elements.
 
@@ -749,7 +765,7 @@ def closure_from_permutations(
     if any(sorted(p) != list(range(width)) for p in raw):
         raise InvalidParameterError("generators must be permutations of 0..n-1")
     gens = np.array(raw, dtype=np.min_scalar_type(width - 1))
-    return _permutation_group(gens, family_tag, limit=CLOSURE_LIMIT)
+    return _permutation_group(gens, None, limit=CLOSURE_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +863,9 @@ def subgroup_closure(
 def subgroup_table(g: GroupTable, elements: Sequence[int]) -> tuple[GroupTable, dict[int, int]]:
     """GroupTable of the subgroup generated by ``elements``.
 
-    Returns the subgroup (re-indexed densely) together with the map from
-    parent element index to subgroup index.  Capped at :data:`CLOSURE_LIMIT`
+    Returns the subgroup (re-indexed densely in the parent's order, so the
+    identity stays element 0) together with the map from parent element
+    index to subgroup index.  Capped at :data:`CLOSURE_LIMIT`
     elements like every other constructor.
     """
     members = np.array(subgroup_closure(g, elements, cap=CLOSURE_LIMIT))
@@ -862,19 +879,18 @@ def subgroup_table(g: GroupTable, elements: Sequence[int]) -> tuple[GroupTable, 
         len(members),
         rule=rule,
         inv=to_sub[[g.inv(x) for x in members]].tolist(),
-        identity=int(to_sub[g.identity]),
         labels=[g.labels[x] for x in members],
-        family_tag=None,
     )
     return sub, {x: i for i, x in enumerate(members.tolist())}
 
 
-def right_cosets(g: GroupTable, s: int, gen_position: int = 0) -> list[Coset]:
+def right_cosets(g: GroupTable, s: int) -> list[Coset]:
     """All right cosets <s>x, ordered by their minimum element index.
 
     The cosets partition the group; there are exactly |G|/o(s) of them, each
     of size o(s).  The coset of x is the orbit x, sx, s^2 x, ... of left
-    multiplication by s.
+    multiplication by s.  Which class of a coset graph a coset belongs to is
+    the position of the partition that holds it, not stored on the coset.
     """
     left = g.products(s, np.arange(g.order)).tolist()
     seen = [False] * g.order
@@ -890,7 +906,7 @@ def right_cosets(g: GroupTable, s: int, gen_position: int = 0) -> list[Coset]:
         members.sort()
         for m in members:
             seen[m] = True
-        out.append(Coset(gen_position, tuple(members)))
+        out.append(Coset(tuple(members)))
     return out
 
 

@@ -95,13 +95,11 @@ class BallGraph:
         radius: int,
         vertices: list[BallVertex],
         edges: list[tuple[int, int, int]],
-        centers: tuple[int, int],
         kind: str,
     ):
         self.radius = radius
         self.vertices = vertices
         self.edges = edges
-        self.centers = centers
         self.kind = kind
 
     @property
@@ -203,7 +201,7 @@ def _grow_ball(radius: int, identity, generators, kind: str) -> BallGraph:
         for class_id, keys, dist in vertices
     ]
     edge_list = sorted((u, v, m) for (u, v), m in edges.items())
-    return BallGraph(radius, out_vertices, edge_list, centers=(0, 1), kind=kind)
+    return BallGraph(radius, out_vertices, edge_list, kind=kind)
 
 
 def sl2z_ball(radius: int) -> BallGraph:

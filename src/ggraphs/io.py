@@ -298,7 +298,12 @@ def _vertex(x: dict, nl: str) -> Optional[str]:
 
 
 def loads(text: str) -> GraphDocument:
-    return GraphDocument.from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise InvalidInputError("JSON document is nested too deeply") from None
+    return GraphDocument.from_dict(data)
 
 
 def write_document(doc: GraphDocument, path) -> None:

@@ -1,11 +1,12 @@
 """Adjacency matrices, spectra and graph energy.
 
-The adjacency matrix of a coset graph is integer-valued with zero diagonal
-blocks (one block per partition class); entries are edge multiplicities.
-A plain multigraph gets one block per vertex, whatever partition it stores.
-``matrix_diagnostics`` decides whether a matrix can come from the coset
-construction by the rule ``characterize`` uses, ``_verdict_from_parameters``,
-so the two cannot disagree.
+The adjacency matrix of a graph is integer-valued with a zero diagonal;
+entries are edge multiplicities.  An ``AdjMatrix`` holds only the matrix:
+the partition classes of a coset graph are read from the graph itself, by
+``matrix_diagnostics``, which refuses a matrix with an entry inside a class
+block and decides whether it can come from the coset construction by the
+rule ``characterize`` uses, ``_verdict_from_parameters``, so the two cannot
+disagree.
 
 Eigenvalues come from LAPACK's symmetric solver (``numpy.linalg.eigvalsh``)
 on the dense matrix, so exact integers enter floating point only at the
@@ -43,7 +44,7 @@ HYPER = "HYPER"
 
 @dataclass(frozen=True, eq=False)
 class AdjMatrix:
-    """Symmetric integer adjacency matrix with partition block boundaries.
+    """Symmetric integer adjacency matrix with a zero diagonal.
 
     Entries are multiplicities, so none is negative, and their sum over the
     upper triangle is bounded at MULTIPLICITY_LIMIT like that of every graph
@@ -51,7 +52,6 @@ class AdjMatrix:
     """
 
     matrix: np.ndarray
-    block_bounds: tuple[int, ...]
 
     def __post_init__(self):
         m = self.matrix
@@ -68,15 +68,6 @@ class AdjMatrix:
         units = int((m.astype(object) if wide else m).sum()) // 2  # symmetric, zero diagonal
         if units > MULTIPLICITY_LIMIT:
             raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
-        bounds = self.block_bounds
-        if bounds[0] != 0 or bounds[-1] != m.shape[0] or list(bounds) != sorted(bounds):
-            raise InvalidMatrixError("block bounds must partition the index range")
-        for lo, hi in zip(bounds, bounds[1:]):
-            # a block of one vertex is its diagonal cell, checked above
-            if hi - lo > 1 and np.any(m[lo:hi, lo:hi] != 0):
-                raise InvalidMatrixError(
-                    f"diagonal block [{lo}:{hi}] must be entirely zero"
-                )
 
     @property
     def dimension(self) -> int:
@@ -138,18 +129,16 @@ def _adjacency(n: int, edges: Sequence[tuple[int, int, int]]) -> np.ndarray:
 
 def adjacency_matrix(gg: GGraph) -> AdjMatrix:
     """Adjacency matrix in the graph's canonical vertex order."""
-    m = _adjacency(gg.vertex_count, gg.edges)
-    return AdjMatrix(matrix=m, block_bounds=gg.class_offsets)
+    return AdjMatrix(_adjacency(gg.vertex_count, gg.edges))
 
 
 def adjacency_from_multigraph(mg: Multigraph) -> AdjMatrix:
-    """AdjMatrix for a plain multigraph, with every vertex its own block.
+    """AdjMatrix for a plain multigraph.
 
-    A partition stored on ``mg`` is not read: class blocks come only from
-    ``adjacency_matrix`` of a coset graph, and the spectrum never reads them.
+    A partition stored on ``mg`` is not read: the spectrum does not depend
+    on one, and only ``matrix_diagnostics`` reads classes, from a coset graph.
     """
-    m = _adjacency(mg.n, [(u, v, mult) for (u, v), mult in mg.edges.items()])
-    return AdjMatrix(matrix=m, block_bounds=tuple(range(mg.n + 1)))
+    return AdjMatrix(_adjacency(mg.n, [(u, v, mult) for (u, v), mult in mg.edges.items()]))
 
 
 def spectrum(m: AdjMatrix) -> SpectrumReport:
@@ -210,23 +199,29 @@ def matrix_csv(m: AdjMatrix) -> str:
 def matrix_diagnostics(m: AdjMatrix, gg: GGraph) -> MatrixDiagnostics:
     """Cross-checks between a matrix and the graph it was built from.
 
-    Row sums must equal the multiplicity-weighted degrees, agree within each
+    The blocks are the graph's partition classes, ``gg.class_offsets``.  A
+    matrix of another dimension than the graph raises InvalidPairError, and
+    one with a nonzero entry inside a class block InvalidMatrixError.  Row
+    sums must equal the multiplicity-weighted degrees, agree within each
     block, and divide by (k-1) back to the generator orders; the total entry
     sum halves to the edge count.  ``not_a_ggraph`` is the characterization
     rule's answer on the matrix alone: a block whose row sums differ, or,
     with k >= 2 uniform blocks, a refusal by ``_verdict_from_parameters`` of
     the block sizes, block row sums and edge total, whose reason is kept.
     """
-    if m.dimension != gg.vertex_count or tuple(m.block_bounds) != tuple(gg.class_offsets):
-        raise InvalidPairError("matrix shape/blocks do not match the graph")
+    if m.dimension != gg.vertex_count:
+        raise InvalidPairError("matrix dimension does not match the graph")
     k = gg.k
     row_sums = tuple(int(x) for x in m.matrix.sum(axis=1))
     degrees = gg.weighted_degrees()
     row_sums_match = list(row_sums) == degrees
 
+    bounds = gg.class_offsets
     block_row_sums: list[Optional[int]] = []
     blocks_uniform = True
-    for lo, hi in zip(m.block_bounds, m.block_bounds[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
+        if np.any(m.matrix[lo:hi, lo:hi] != 0):
+            raise InvalidMatrixError(f"diagonal block [{lo}:{hi}] must be entirely zero")
         sums = set(row_sums[lo:hi])
         if len(sums) == 1:
             block_row_sums.append(sums.pop())
@@ -257,7 +252,7 @@ def matrix_diagnostics(m: AdjMatrix, gg: GGraph) -> MatrixDiagnostics:
     if not blocks_uniform:
         reason = f"degrees not uniform within class {block_row_sums.index(None)}"
     elif k >= 2:
-        sizes = [hi - lo for lo, hi in zip(m.block_bounds, m.block_bounds[1:])]
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         reason = _verdict_from_parameters(k, sizes, block_row_sums, edge_total).refusal_reason
 
     return MatrixDiagnostics(

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -30,6 +31,7 @@ from ggraphs.groups import (
     CLOSURE_LIMIT,
     TABLE_LIMIT,
     _assoc_sample,
+    _longest_orbit,
     _stabilizer_chain,
     compose,
     conjugacy_classes,
@@ -38,6 +40,7 @@ from ggraphs.groups import (
     parse_cycles,
     parity,
 )
+from ggraphs.multigraph import VERTEX_LIMIT
 
 
 def test_cyclic_basics():
@@ -507,6 +510,35 @@ def test_closure_cap_is_decided_before_listing():
     with pytest.raises(ClosureOverflowError, match="closure exceeds 10000 elements"):
         closure_from_permutations(["(1 2)", "(" + " ".join(map(str, range(1, 256))) + ")"])
     assert time.perf_counter() - start < 1.0
+
+
+def test_closure_refuses_an_orbit_past_the_cap_before_storing_a_map():
+    # Z_10001 on 10,001 points: a chain would store two 10,001-point rows
+    # per orbit point, about 400 MB, before its orbit length passed the cap
+    cycle = "(" + " ".join(map(str, range(1, CLOSURE_LIMIT + 2))) + ")"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureOverflowError, match="closure exceeds 10000 elements"):
+            closure_from_permutations([cycle])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 4 << 20
+
+
+def test_longest_orbit():
+    gens = np.array([parse_cycles("(1 2)(4 5 6)", 7), parse_cycles("(2 3)", 7)])
+    assert _longest_orbit(gens) == 3
+    assert _longest_orbit(np.arange(4)[None, :]) == 1
+
+
+def test_parse_cycles_refuses_a_point_past_the_vertex_bound():
+    assert len(parse_cycles(f"(1 {VERTEX_LIMIT})")) == VERTEX_LIMIT
+    for text in (f"(1 {VERTEX_LIMIT + 1})", "(1 99999999999)"):
+        with pytest.raises(InvalidParameterError, match=f"exceeds {VERTEX_LIMIT}"):
+            parse_cycles(text)
 
 
 def test_group_with_large_base_tables_builds():

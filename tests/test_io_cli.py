@@ -251,6 +251,29 @@ def test_cli_build_refuses_a_non_permutation(capsys, spec, point):
     assert capsys.readouterr().err.startswith(f"error: point {point} ")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Z_10001: one orbit of 10,001 points, past the closure cap
+        "perm:(" + " ".join(map(str, range(1, 10_002))) + ")",
+        # one point past the vertex bound sizes the ground set past it
+        f"perm:(1 {VERTEX_LIMIT + 1})",
+    ],
+    ids=["long-orbit", "huge-point"],
+)
+def test_cli_build_refuses_a_costly_permutation_spec_quickly(capsys, spec):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert main(["build", "--group", spec, "--gens", spec[len("perm:"):]]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 4 << 20
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_build_edges_format(tmp_path, capsys):
     out = tmp_path / "q.edges"
     assert main(["build", "--group", "genq:2", "--gens", "a,b",
@@ -375,6 +398,18 @@ def test_document_must_be_an_object():
         with pytest.raises(InvalidInputError):
             loads(text)
     assert loads(json.dumps(_ONE_EDGE)).to_multigraph().edge_multiplicity_total() == 1
+
+
+def test_cli_refuses_deeply_nested_json(tmp_path, capsys):
+    # the decoder recurses once per level and raised RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert main(["export-dot", str(path), "--out", str(tmp_path / "deep.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: JSON document is nested too deeply\n" * 2
+    with pytest.raises(InvalidInputError, match="nested too deeply"):
+        loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("command", ["analyze", "spectrum"])

@@ -68,16 +68,15 @@ def test_non_symmetric_matrix_rejected():
     bad = np.zeros((3, 3), dtype=np.int64)
     bad[0, 1] = 1
     with pytest.raises(InvalidMatrixError):
-        AdjMatrix(matrix=bad, block_bounds=(0, 1, 2, 3))
+        AdjMatrix(matrix=bad)
 
 
 def test_loop_in_a_singleton_block_rejected():
-    # the path 0-1-2 with a loop at 1: vertex 1 is a block of its own, whose
-    # one cell is on the diagonal
+    # the path 0-1-2 with a loop at 1, whose one cell is on the diagonal
     loop = np.zeros((3, 3), dtype=np.int64)
     loop[0, 1] = loop[1, 0] = loop[1, 2] = loop[2, 1] = loop[1, 1] = 1
     with pytest.raises(InvalidMatrixError, match="diagonal must be zero"):
-        AdjMatrix(matrix=loop, block_bounds=(0, 1, 2, 3))
+        AdjMatrix(matrix=loop)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +91,7 @@ def test_hand_built_matrix_refused_past_the_multiplicity_bound(entry, total):
     heavy[0, 1] = heavy[1, 0] = heavy[1, 2] = heavy[2, 1] = entry
     total = 2 * entry if total is None else total
     with pytest.raises(SizeLimitError, match=f"edge multiplicity {total} exceeds"):
-        spectrum(AdjMatrix(matrix=heavy, block_bounds=(0, 1, 2, 3)))
+        spectrum(AdjMatrix(matrix=heavy))
 
 
 @pytest.mark.parametrize("entry", [1, 5_000_000_000], ids=["1", "5e9"])
@@ -103,12 +102,12 @@ def test_hand_built_matrix_with_a_negative_entry_refused(entry):
     signed[0, 1] = signed[1, 0] = entry
     signed[1, 2] = signed[2, 1] = -entry
     with pytest.raises(InvalidMatrixError, match="must not be negative"):
-        spectrum(AdjMatrix(matrix=signed, block_bounds=(0, 1, 2, 3)))
+        spectrum(AdjMatrix(matrix=signed))
 
 
 def test_hand_built_matrix_at_the_multiplicity_bound_is_kept():
     edge = np.array([[0, MULTIPLICITY_LIMIT], [MULTIPLICITY_LIMIT, 0]], dtype=np.int64)
-    report = spectrum(AdjMatrix(matrix=edge, block_bounds=(0, 1, 2)))
+    report = spectrum(AdjMatrix(matrix=edge))
     assert_spectrum(report, [(MULTIPLICITY_LIMIT, 1), (-MULTIPLICITY_LIMIT, 1)])
 
 
@@ -373,13 +372,23 @@ def test_diagnostics_flags_degree_gap_of_one():
     v = next(v for v in range(3, 6) if tampered[u, v])
     tampered[u, v] -= 1
     tampered[v, u] -= 1
-    bad = AdjMatrix(matrix=tampered, block_bounds=m.block_bounds)
+    bad = AdjMatrix(matrix=tampered)
     diag = matrix_diagnostics(bad, gg)
     assert not diag.blocks_uniform
     assert not diag.row_sums_match_degrees
     assert diag.not_a_ggraph
     assert diag.not_a_ggraph_reason == "degrees not uniform within class 0"
     assert not diag.ok
+
+
+def test_diagnostics_refuses_an_entry_inside_a_class_block():
+    gg = cat.ggraph_of("sym3_all_transpositions")
+    tampered = adjacency_matrix(gg).matrix.copy()
+    # vertices 0 and 1 are both cosets of <(12)>, in class 0
+    tampered[0, 1] += 1
+    tampered[1, 0] += 1
+    with pytest.raises(InvalidMatrixError, match=r"diagonal block \[0:3\] must be entirely zero"):
+        matrix_diagnostics(AdjMatrix(matrix=tampered), gg)
 
 
 def test_diagnostics_flags_uniform_blocks_the_rule_refuses():
@@ -392,7 +401,7 @@ def test_diagnostics_flags_uniform_blocks_the_rule_refuses():
     for u in range(3):
         tampered[u, u + 3] += 3
         tampered[u + 3, u] += 3
-    bad = AdjMatrix(matrix=tampered, block_bounds=m.block_bounds)
+    bad = AdjMatrix(matrix=tampered)
     diag = matrix_diagnostics(bad, gg)
     assert diag.blocks_uniform
     assert diag.block_row_sums == (7, 7, 4)
@@ -421,7 +430,7 @@ def _one_more_unit(a):
 def test_diagnostics_on_a_tampered_bipartite_matrix(tamper, reason):
     gg = cat.ggraph_of("dihedral10_rs")  # K_{2,5}
     m = adjacency_matrix(gg)
-    bad = AdjMatrix(matrix=tamper(m.matrix), block_bounds=m.block_bounds)
+    bad = AdjMatrix(matrix=tamper(m.matrix))
     diag = matrix_diagnostics(bad, gg)
     assert diag.not_a_ggraph == (reason is not None)
     assert diag.not_a_ggraph_reason == reason
@@ -445,7 +454,6 @@ def test_adjacency_from_multigraph_ignores_a_stored_partition(classes):
     plain = adjacency_from_multigraph(path)
     path.classes = classes
     adj = adjacency_from_multigraph(path)
-    assert adj.block_bounds == (0, 1, 2, 3)
     assert np.array_equal(adj.matrix, plain.matrix)
     assert spectrum(adj) == spectrum(plain)
 
