@@ -20,17 +20,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import io as gio
-from .analysis import structure_report
-from .characterize import ACCEPT, REFUSE, characterize
 from .errors import GGraphError, NotAGeneratingSetError
-from .ggraph import build_ggraph, predicted_stats
-from .infinite import affine_ball, sl2z_ball
-from .iso import SIZE_BOUND, recognize_family
-from .multigraph import Multigraph
 
-# groups and spectral load numpy, so they are imported inside the commands that use them
+# Each command imports the layers it runs, so a process loads only those;
+# groups and spectral would also bring numpy.
 if TYPE_CHECKING:
     from .groups import GroupTable
+    from .multigraph import Multigraph
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -137,6 +133,7 @@ def load_graph_input(path: str) -> Multigraph:
 
 
 def cmd_build(args) -> int:
+    from .ggraph import build_ggraph, predicted_stats
     from .groups import make_gen_sequence
 
     group = parse_group_spec(args.group)
@@ -177,6 +174,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import structure_report
+    from .iso import SIZE_BOUND, recognize_family
+
     mg = load_graph_input(args.input)
     report = structure_report(mg)
     family = recognize_family(mg) if mg.n <= SIZE_BOUND else None
@@ -207,6 +207,8 @@ def _parse_partition(text: str) -> list[list[int]]:
 
 
 def cmd_characterize(args) -> int:
+    from .characterize import ACCEPT, REFUSE, characterize
+
     mg = load_graph_input(args.input)
     partition = _parse_partition(args.partition) if args.partition else None
     if partition is None and mg.classes:
@@ -259,6 +261,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_infinite(args) -> int:
+    from .infinite import affine_ball, sl2z_ball
+
     grow = sl2z_ball if args.group == "sl2z" else affine_ball
     ball = grow(args.radius)
     interior = sum(1 for v in ball.vertices if v.interior)

@@ -22,12 +22,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidInputError, SizeLimitError
-from .ggraph import GGraph
-from .infinite import BallGraph
 from .multigraph import MULTIPLICITY_LIMIT, Multigraph
+
+if TYPE_CHECKING:
+    from .ggraph import GGraph
+    from .infinite import BallGraph
 
 SCHEMA_VERSION = "1"
 
@@ -67,6 +69,8 @@ class GraphDocument:
         for key in ("partitions", "edges"):
             if not isinstance(data.get(key), list):
                 raise InvalidInputError(f"document field {key!r} must be a list")
+        if not isinstance(data.get("metadata", {}), dict):
+            raise InvalidInputError("document field 'metadata' must be an object")
         doc = cls(
             kind=data["kind"],
             partitions=data["partitions"],

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .characterize import _verdict_from_parameters
 from .errors import InvalidMatrixError, InvalidPairError, SizeLimitError
 from .ggraph import GGraph
 from .multigraph import MULTIPLICITY_LIMIT, Multigraph
@@ -252,6 +251,9 @@ def matrix_diagnostics(m: AdjMatrix, gg: GGraph) -> MatrixDiagnostics:
     if not blocks_uniform:
         reason = f"degrees not uniform within class {block_row_sums.index(None)}"
     elif k >= 2:
+        # here, so that computing a spectrum never loads characterize and iso
+        from .characterize import _verdict_from_parameters
+
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         reason = _verdict_from_parameters(k, sizes, block_row_sums, edge_total).refusal_reason
 

@@ -1,7 +1,8 @@
-"""numpy loads only with the group and spectral layers; the public surface holds.
+"""Each command loads only the layers it runs; the public surface holds.
 
-The numpy checks each run in a fresh interpreter, since the test process has
-imported numpy long before.
+numpy loads only with the group and spectral layers.  The module checks each
+run in a fresh interpreter, since the test process has imported every module
+long before.
 """
 
 import json
@@ -40,13 +41,26 @@ EXPORTED = [
     "adjacency_matrix", "matrix_csv", "matrix_diagnostics", "spectrum",
 ]
 
-# Runs the CLI in-process and reports its exit code and whether numpy loaded.
+# Runs the CLI in-process and reports its exit code, whether numpy loaded and
+# which ggraphs submodules did.
 CLI_PROBE = """
 import json, sys
 from ggraphs.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+modules = sorted(name[len("ggraphs."):] for name in sys.modules if name.startswith("ggraphs."))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "modules": modules}))
 """
+
+# The submodules each command must not load.  Every process of a command
+# compiles and runs each module it imports, so a top-level import that brings
+# one of these back slows every such command.
+NOT_LOADED = {
+    "export-dot": {"analysis", "characterize", "ggraph", "infinite", "iso"},
+    "infinite": {"analysis", "characterize", "ggraph", "iso"},
+    "analyze": {"characterize", "infinite"},
+    "characterize": {"analysis", "infinite"},
+    "spectrum": {"characterize", "iso"},
+}
 
 
 def _python(code, *args, cwd, stdin=None):
@@ -94,6 +108,7 @@ def test_graph_commands_leave_numpy_out(tmp_path, cube_json, argv):
     result = _python(CLI_PROBE, *argv, cwd=tmp_path)
     assert result["code"] in (0, 4)
     assert result["numpy"] is False
+    assert not NOT_LOADED[argv[0]] & set(result["modules"]), result["modules"]
 
 
 @pytest.mark.parametrize(
@@ -106,7 +121,9 @@ def test_graph_commands_leave_numpy_out(tmp_path, cube_json, argv):
 )
 def test_group_and_spectral_commands_still_run(tmp_path, argv):
     argv = [arg.format(fixtures=FIXDIR) for arg in argv]
-    assert _python(CLI_PROBE, *argv, cwd=tmp_path) == {"code": 0, "numpy": True}
+    result = _python(CLI_PROBE, *argv, cwd=tmp_path)
+    assert (result["code"], result["numpy"]) == (0, True)
+    assert not NOT_LOADED.get(argv[0], set()) & set(result["modules"]), result["modules"]
 
 
 def test_every_exported_name_resolves():
@@ -125,9 +142,46 @@ def test_star_import_binds_every_exported_name(tmp_path):
 
 
 def test_lazy_submodules_resolve_as_attributes(tmp_path):
+    names = ["groups", "spectral", "analysis", "iso", "infinite", "ggraph", "multigraph",
+             "errors"]
     code = ("import json, ggraphs; "
-            "print(json.dumps([ggraphs.groups.__name__, ggraphs.spectral.__name__]))")
-    assert _python(code, cwd=tmp_path) == ["ggraphs.groups", "ggraphs.spectral"]
+            f"print(json.dumps([getattr(ggraphs, name).__name__ for name in {names!r}]))")
+    assert _python(code, cwd=tmp_path) == [f"ggraphs.{name}" for name in names]
+
+
+def test_import_ggraphs_loads_no_submodule(tmp_path):
+    code = ("import json, sys, ggraphs; "
+            "print(json.dumps([m for m in sys.modules if m.startswith('ggraphs.')]))")
+    assert _python(code, cwd=tmp_path) == []
+
+
+# Loading the submodule ggraphs.characterize binds it on the package, where the
+# public function of the same name must stay, whichever way it is first loaded.
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import ggraphs",
+        "import ggraphs.characterize",
+        "from ggraphs.characterize import ACCEPT",
+        "import ggraphs; ggraphs.ACCEPT",
+        "import ggraphs.cli; ggraphs.cli.main(['characterize', sys.argv[1]])",
+        "from ggraphs.groups import make_dihedral\n"
+        "from ggraphs.ggraph import build_ggraph\n"
+        "from ggraphs.spectral import adjacency_matrix, matrix_diagnostics\n"
+        "d10 = make_dihedral(5)\n"
+        "gg = build_ggraph(d10, [d10.designated['r'], d10.designated['s']])\n"
+        "matrix_diagnostics(adjacency_matrix(gg), gg)",
+    ],
+    ids=["package", "submodule", "from_submodule", "owned_name", "cli", "matrix_diagnostics"],
+)
+def test_characterize_stays_the_function(tmp_path, first):
+    code = (f"import json, sys\n{first}\nimport ggraphs\n"
+            "loaded = 'ggraphs.characterize' in sys.modules\n"
+            "found = ggraphs.characterize\n"
+            "print(json.dumps([loaded, type(found).__name__, found.__module__]))")
+    loaded, kind, module = _python(code, str(FIXDIR / "cube.edges"), cwd=tmp_path)
+    assert loaded == (first != "import ggraphs")  # each other case loads the submodule first
+    assert (kind, module) == ("function", "ggraphs.characterize")
 
 
 def test_unknown_name_raises_attribute_error():

@@ -400,6 +400,21 @@ def test_document_must_be_an_object():
     assert loads(json.dumps(_ONE_EDGE)).to_multigraph().edge_multiplicity_total() == 1
 
 
+@pytest.mark.parametrize("metadata", [[], 5, None, "x"], ids=["list", "int", "null", "str"])
+def test_metadata_must_be_an_object(tmp_path, capsys, metadata):
+    # these passed every command with exit code 0; a missing field stays allowed
+    doc = dict(_ONE_EDGE, metadata=metadata)
+    with pytest.raises(InvalidInputError, match="'metadata' must be an object"):
+        loads(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("analyze", "characterize", "spectrum"):
+        assert main([command, str(path)]) == 2
+    assert main(["export-dot", str(path), "--out", str(tmp_path / "x.dot")]) == 2
+    assert not (tmp_path / "x.dot").exists()
+    assert capsys.readouterr().err.count("error: document field 'metadata'") == 4
+
+
 def test_cli_refuses_deeply_nested_json(tmp_path, capsys):
     # the decoder recurses once per level and raised RecursionError
     path = tmp_path / "deep.json"
