@@ -12,7 +12,7 @@ import types
 __version__ = "0.1.0"
 
 _LAZY = {
-    "analysis": ("StructureReport", "analyze", "check_subgroup_subgraph", "structure_report"),
+    "analysis": ("StructureReport", "analyze", "check_subgroup_subgraph"),
     "characterize": (
         "ACCEPT", "REFUSE", "UNDETERMINED", "CharacterizationVerdict", "characterize",
         "characterize_bipartite", "turan_verdict", "witness_search",

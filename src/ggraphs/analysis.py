@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .ggraph import GGraph, build_ggraph
-from .multigraph import Multigraph
+from .ggraph import build_ggraph
+from .multigraph import as_multigraph
 
 # groups loads numpy, so it is imported inside the functions that use a group
 if TYPE_CHECKING:
@@ -31,16 +31,14 @@ class StructureReport:
     class_degrees: Optional[tuple[Optional[int], ...]]
 
 
-def analyze(gg: GGraph) -> StructureReport:
-    """StructureReport for a built coset graph.
+def analyze(graph) -> StructureReport:
+    """StructureReport for any graph: a Multigraph, or a view over one.
 
     Eulerian means connected with every multiplicity-weighted degree even;
-    adjacency for connectivity treats any multiplicity >= 1 as an edge.
+    adjacency for connectivity treats any multiplicity >= 1 as an edge.  The
+    class-dependent fields read the graph's stored partition.
     """
-    return structure_report(gg.to_multigraph())
-
-
-def structure_report(mg: Multigraph) -> StructureReport:
+    mg = as_multigraph(graph)
     degrees = mg.weighted_degrees()
     sides, components = mg.traverse()
     connected = components <= 1

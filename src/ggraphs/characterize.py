@@ -5,7 +5,8 @@ one group element form a k-clique, and the classes form a proper coloring),
 so the decision procedure works at k = chromatic number: the graph is
 accepted iff some proper k-coloring has uniform degree n_i and size m_i per
 class with m_i * n_i = 2|E|/k, every n_i/(k-1) integral, and
-|G| = 2|E|/(k(k-1)) integral.  Edge counts always include multiplicity.
+|G| = 2|E|/(k(k-1)) integral and, when at most one order n_i/(k-1) exceeds
+1, equal to the largest.  Edge counts always include multiplicity.
 
 That rule lives in one function, ``_verdict_from_parameters``, the only
 code that accepts k >= 2 classes.  ``characterize`` reaches it through the
@@ -62,7 +63,6 @@ ACCEPT = "ACCEPT"
 REFUSE = "REFUSE"
 UNDETERMINED = "UNDETERMINED"
 
-SEARCH_VERTEX_BOUND = 64
 SEARCH_K_BOUND = 6
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -347,7 +347,7 @@ def _characterize_with_partition(
         k, [len(cls) for cls in classes], class_degs, mg.edge_multiplicity_total()
     )
     # k = 2 needs no check: a graph with an edge is not 1-colorable
-    if verdict.status == ACCEPT and k > 2 and mg.n <= SEARCH_VERTEX_BOUND:
+    if verdict.status == ACCEPT and k > 2 and mg.n <= SIZE_BOUND:
         masks = _adjacency_masks(mg)
         if _has_proper_coloring(mg, k - 1, budget, two_colorable, masks, degrees):
             return _refuse(
@@ -363,8 +363,9 @@ def _verdict_from_parameters(
 
     Accept with the recovered orders when 2|E|/k is integral, every class
     has size * degree = 2|E|/k, and ``_fractional`` finds nothing; each
-    size * order then equals |G| = 2|E|/(k(k-1)).  Refuse on the first
-    check that fails.
+    size * order then equals |G| = 2|E|/(k(k-1)).  The s_i generate G, so
+    when at most one order exceeds 1, G is trivial or <s_j> and |G| must be
+    the largest order.  Refuse on the first check that fails.
     """
     if (2 * total_mult) % k != 0:
         return _refuse(f"2|E|/k = {2 * total_mult}/{k} not integral", k)
@@ -376,9 +377,14 @@ def _verdict_from_parameters(
     if refusal is not None:
         return refusal
     orders = tuple(d // (k - 1) for d in class_degs)
+    group_order = 2 * total_mult // (k * (k - 1))
+    if sum(o > 1 for o in orders) <= 1 and group_order != max(orders):
+        return _refuse(
+            f"orders {orders} generate a group of order {max(orders)}, not {group_order}", k
+        )
     return CharacterizationVerdict(
         status=ACCEPT, k=k, class_sizes=tuple(sizes), class_degrees=tuple(class_degs),
-        group_order=2 * total_mult // (k * (k - 1)), gen_orders=orders,
+        group_order=group_order, gen_orders=orders,
     )
 
 
@@ -401,9 +407,9 @@ def _fractional(
 def _characterize_search(
     mg: Multigraph, budget: _Budget, two_colorable: bool
 ) -> CharacterizationVerdict:
-    if mg.n > SEARCH_VERTEX_BOUND:
+    if mg.n > SIZE_BOUND:
         return _undetermined(
-            f"{mg.n} vertices exceeds the {SEARCH_VERTEX_BOUND}-vertex search bound"
+            f"{mg.n} vertices exceeds the {SIZE_BOUND}-vertex search bound"
         )
     masks = _adjacency_masks(mg)
     degrees = mg.weighted_degrees()

@@ -174,11 +174,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import structure_report
+    from .analysis import analyze
     from .iso import SIZE_BOUND, recognize_family
 
     mg = load_graph_input(args.input)
-    report = structure_report(mg)
+    report = analyze(mg)
     family = recognize_family(mg) if mg.n <= SIZE_BOUND else None
     print(f"vertices: {mg.n}  edge multiplicity: {mg.edge_multiplicity_total()}")
     print(f"connected: {report.connected}")

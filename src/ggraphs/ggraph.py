@@ -8,12 +8,11 @@ edge counts always count multiplicity.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NotAGeneratingSetError, SizeLimitError
-from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph, weighted_degrees
+from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph
 
 # groups loads numpy, so it is imported inside the functions that use a group
 if TYPE_CHECKING:
@@ -69,18 +68,6 @@ class GGraph:
             offsets.append(offsets[-1] + len(part))
         self.class_offsets = tuple(offsets)
         self.vertex_count = offsets[-1]
-
-    def class_of(self, v: int) -> int:
-        if not 0 <= v < self.vertex_count:
-            raise IndexError(f"vertex {v} out of range")
-        return bisect_right(self.class_offsets, v) - 1
-
-    def coset_of(self, v: int) -> Coset:
-        c = self.class_of(v)
-        return self.partitions[c][v - self.class_offsets[c]]
-
-    def weighted_degrees(self) -> list[int]:
-        return weighted_degrees(self.vertex_count, self.edges)
 
     def natural_partition(self) -> list[list[int]]:
         return [

@@ -123,14 +123,6 @@ class GroupTable:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
-
     def index_of_label(self, label: str) -> int:
         return self._label_index[label]
 
@@ -247,28 +239,6 @@ class Coset:
 # ---------------------------------------------------------------------------
 # permutation helpers (images tuples, 0-based ground set)
 # ---------------------------------------------------------------------------
-
-
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """p * q: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def parity(p: tuple[int, ...]) -> int:
-    """0 for even permutations, 1 for odd."""
-    seen = [False] * len(p)
-    odd = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        odd ^= (length - 1) & 1
-    return odd
 
 
 def cycle_notation(p: tuple[int, ...]) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import InvalidParameterError, SizeLimitError
-from .multigraph import Multigraph, weighted_degrees
+from .multigraph import Multigraph
 
 INFINITE = math.inf
 
@@ -105,9 +105,6 @@ class BallGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    def weighted_degrees(self) -> list[int]:
-        return weighted_degrees(len(self.vertices), self.edges)
 
     def class_members(self) -> list[list[int]]:
         """Vertex ids of class 0 and of class 1, each in id order."""

@@ -315,11 +315,6 @@ def write_document(doc: GraphDocument, path) -> None:
         fh.write(dumps(doc))
 
 
-def read_document(path) -> GraphDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # edge-list text format
 # ---------------------------------------------------------------------------

@@ -56,15 +56,8 @@ class Multigraph:
         key = (u, v) if u < v else (v, u)
         self.edges[key] = self.edges.get(key, 0) + mult
 
-    def multiplicity(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.edges.get(key, 0)
-
     def edge_multiplicity_total(self) -> int:
         return sum(self.edges.values())
-
-    def distinct_edge_count(self) -> int:
-        return len(self.edges)
 
     def weighted_degrees(self) -> list[int]:
         return weighted_degrees(self.n, ((u, v, m) for (u, v), m in self.edges.items()))
@@ -150,28 +143,6 @@ class Multigraph:
         side0 = [v for v in range(self.n) if side[v] == 0]
         side1 = [v for v in range(self.n) if side[v] == 1]
         return (side0, side1), components
-
-    def is_connected(self) -> bool:
-        return self.traverse()[1] <= 1
-
-    def bipartition(self) -> Optional[tuple[list[int], list[int]]]:
-        """Two-coloring by BFS, or None if an odd cycle exists.
-
-        For a connected graph the split is unique up to swapping sides; the
-        side containing vertex 0 comes first.
-        """
-        return self.traverse()[0]
-
-    def relabel(self, perm: list[int]) -> "Multigraph":
-        """New graph with vertex v renamed perm[v]; classes are dropped."""
-        return Multigraph(
-            self.n, edges=((perm[u], perm[v], m) for (u, v), m in self.edges.items())
-        )
-
-    def copy(self) -> "Multigraph":
-        out = Multigraph(self.n, classes=[list(c) for c in self.classes] if self.classes else None)
-        out.edges = dict(self.edges)
-        return out
 
     def to_multigraph(self) -> "Multigraph":
         return self

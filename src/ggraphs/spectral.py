@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidMatrixError, InvalidPairError, SizeLimitError
 from .ggraph import GGraph
-from .multigraph import MULTIPLICITY_LIMIT, Multigraph
+from .multigraph import MULTIPLICITY_LIMIT, Multigraph, weighted_degrees
 
 DIMENSION_LIMIT = 2048
 GROUP_TOL = 1e-6
@@ -212,7 +212,7 @@ def matrix_diagnostics(m: AdjMatrix, gg: GGraph) -> MatrixDiagnostics:
         raise InvalidPairError("matrix dimension does not match the graph")
     k = gg.k
     row_sums = tuple(int(x) for x in m.matrix.sum(axis=1))
-    degrees = gg.weighted_degrees()
+    degrees = weighted_degrees(gg.vertex_count, gg.edges)
     row_sums_match = list(row_sums) == degrees
 
     bounds = gg.class_offsets

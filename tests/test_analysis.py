@@ -1,7 +1,15 @@
 import pytest
 
 import fixture_catalog as cat
-from ggraphs import analyze, check_subgroup_subgraph, make_dihedral, make_gen_sequence
+from ggraphs import (
+    affine_ball,
+    analyze,
+    check_subgroup_subgraph,
+    make_dihedral,
+    make_gen_sequence,
+    sl2z_ball,
+)
+from ggraphs.io import document_from_ball, document_from_ggraph, dumps, loads
 
 
 def test_s3_transpositions_is_eulerian():
@@ -25,6 +33,23 @@ def test_sd16_is_eulerian():
     report = analyze(cat.ggraph_of("sd16_ab"))
     assert report.eulerian
     assert sorted(report.class_degrees) == [2, 8]
+
+
+@pytest.mark.parametrize("name", cat.CATALOG_NAMES)
+def test_analyze_takes_every_graph_type(name):
+    group, _, gg = cat.fixture(name)
+    report = analyze(gg)
+    assert analyze(gg.to_multigraph()) == report
+    document = loads(dumps(document_from_ggraph(gg, list(group.labels))))
+    assert analyze(document) == report
+
+
+@pytest.mark.parametrize("ball", [sl2z_ball(2), affine_ball(3)], ids=["sl2z", "affine"])
+def test_analyze_takes_a_ball(ball):
+    report = analyze(ball)
+    assert report == analyze(ball.to_multigraph())
+    assert report == analyze(loads(dumps(document_from_ball(ball))))
+    assert report.connected and report.bipartite and report.is_k_partite_valid
 
 
 @pytest.mark.parametrize("name", cat.CATALOG_NAMES)
@@ -58,7 +83,7 @@ def test_equal_orders_imply_regular(name):
     if len(set(seq.orders)) != 1:
         return
     expected = seq.orders[0] * (len(seq) - 1)
-    assert set(gg.weighted_degrees()) == {expected}
+    assert set(gg.to_multigraph().weighted_degrees()) == {expected}
 
 
 def test_subgroup_subgraph_s3_inside_s4():

@@ -142,7 +142,17 @@ def test_oversize_partition_rejected_as_not_chromatic():
     assert len(classes) == 6
     verdict = characterize(graph, classes)
     assert verdict.status == REFUSE
-    assert "chromatic" in verdict.refusal_reason
+    # six orders of 1 generate the trivial group, not one of order 2, so the
+    # rule refuses before the chromatic check runs
+    assert verdict.refusal_reason == (
+        "orders (1, 1, 1, 1, 1, 1) generate a group of order 1, not 2"
+    )
+    # K_{6,6} in four classes of 3 passes the rule, with orders (2, 2, 2, 2)
+    # and |G| = 6, but is 2-chromatic
+    four = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    verdict = characterize(complete_bipartite(6, 6), four)
+    assert verdict.status == REFUSE
+    assert verdict.refusal_reason == "graph is 3-colorable, so it is not exactly 4-chromatic"
 
 
 @pytest.mark.parametrize("name", cat.CATALOG_NAMES)
@@ -232,6 +242,17 @@ def test_search_path_handles_multiplicities():
     assert sorted(verdict.gen_orders) == [4, 4]
 
 
+def test_odd_cycles_but_the_triangle_are_refused():
+    # with k = 3 every order is 1, so |G| must be 1; only C3 has 2|E|/6 = 1
+    for n in range(3, 22):
+        verdict = characterize(cycle_graph(n))
+        assert (verdict.status == ACCEPT) == (n == 3 or n % 2 == 0), n
+        assert verdict.status in (ACCEPT, REFUSE), n
+    assert characterize(cycle_graph(9)).refusal_reason == (
+        "orders (1, 1, 1) generate a group of order 1, not 3"
+    )
+
+
 def _circulant(n, jumps):
     graph = Multigraph(n)
     for u, v in sorted({tuple(sorted((u, (u + j) % n))) for u in range(n) for j in jumps}):
@@ -254,8 +275,8 @@ _NODE_COUNTS = [
     ("k22_mult2", lambda: complete_bipartite(2, 2, mult=2), False, ACCEPT, 5),
     ("turan_8_4_classes", lambda: turan_graph(8, 4), True, ACCEPT, 4),
     ("turan_12_4_classes", lambda: turan_graph(12, 4), True, ACCEPT, 4),
-    ("cycle_9", lambda: cycle_graph(9), False, ACCEPT, 28),
-    ("cycle_15", lambda: cycle_graph(15), False, ACCEPT, 108),
+    ("cycle_9", lambda: cycle_graph(9), False, REFUSE, 28),
+    ("cycle_15", lambda: cycle_graph(15), False, REFUSE, 108),
     ("circulant_15_1_4_6", lambda: _circulant(15, (1, 4, 6)), False, REFUSE, 84),
 ]
 
@@ -598,7 +619,7 @@ def test_bipartite_agrees_with_general_path(name):
         graph = _NOT_BIREGULAR[name]()
     else:
         graph = cat.fixture(name)[2].to_multigraph()
-    sides = graph.bipartition()
+    sides, components = graph.traverse()
     if sides is None:
         with pytest.raises(InvalidInputError):
             characterize_bipartite(graph)
@@ -606,7 +627,7 @@ def test_bipartite_agrees_with_general_path(name):
     verdict = characterize_bipartite(graph)
     assert verdict == characterize(graph, sides)
     if name in _NOT_BIREGULAR:
-        assert graph.is_connected()
+        assert components == 1
         assert verdict.status == REFUSE and verdict.k == 2
     else:
         group, seq, _ = cat.fixture(name)

@@ -33,14 +33,45 @@ from ggraphs.groups import (
     _assoc_sample,
     _longest_orbit,
     _stabilizer_chain,
-    compose,
     conjugacy_classes,
     cycle_notation,
     element_orders,
     parse_cycles,
-    parity,
 )
 from ggraphs.multigraph import VERTEX_LIMIT
+
+
+# reference permutation arithmetic on images tuples over a 0-based ground set
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p * q: apply q first, then p."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def parity(p: tuple[int, ...]) -> int:
+    """0 for even permutations, 1 for odd."""
+    seen = [False] * len(p)
+    odd = 0
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        odd ^= (length - 1) & 1
+    return odd
+
+
+def power(g, x: int, k: int) -> int:
+    """x to the k >= 0 in g, by repeated multiplication."""
+    acc = g.identity
+    for _ in range(k):
+        acc = g.mul(acc, x)
+    return acc
 
 
 def test_cyclic_basics():
@@ -109,10 +140,10 @@ def test_dihedral_presentation_relations():
     for n in (3, 4, 5, 8):
         g = make_dihedral(n)
         r, s = g.designated["r"], g.designated["s"]
-        assert g.power(r, n) == g.identity
+        assert power(g, r, n) == g.identity
         assert g.mul(s, s) == g.identity
         # s r s = r^(n-1)
-        assert g.mul(g.mul(s, r), s) == g.power(r, n - 1)
+        assert g.mul(g.mul(s, r), s) == power(g, r, n - 1)
 
 
 def test_generalized_quaternion():
@@ -136,10 +167,10 @@ def test_generalized_quaternion_relations():
     for n in (2, 3, 4):
         g = make_generalized_quaternion(n)
         a, b = g.designated["a"], g.designated["b"]
-        assert g.power(a, 2 * n) == g.identity
-        assert g.mul(b, b) == g.power(a, n)
+        assert power(g, a, 2 * n) == g.identity
+        assert g.mul(b, b) == power(g, a, n)
         # a b = b a^(2n-1)
-        assert g.mul(a, b) == g.mul(b, g.power(a, 2 * n - 1))
+        assert g.mul(a, b) == g.mul(b, power(g, a, 2 * n - 1))
 
 
 def test_semidihedral():
@@ -160,9 +191,9 @@ def test_semidihedral_relations():
     for k in (1, 2, 3):
         g = make_semidihedral(k)
         a, b = g.designated["a"], g.designated["b"]
-        assert g.power(a, 4 * k) == g.identity
+        assert power(g, a, 4 * k) == g.identity
         assert g.mul(b, b) == g.identity
-        assert g.mul(b, a) == g.mul(g.power(a, 2 * k - 1), b)
+        assert g.mul(b, a) == g.mul(power(g, a, 2 * k - 1), b)
 
 
 def test_closure_from_permutations():

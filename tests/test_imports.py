@@ -20,9 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
 
 # Every name ggraphs/__init__.py imported eagerly before its group and
-# spectral layers became lazy.
+# spectral layers became lazy, but those in REMOVED.
 EXPORTED = [
-    "StructureReport", "analyze", "check_subgroup_subgraph", "structure_report",
+    "StructureReport", "analyze", "check_subgroup_subgraph",
     "ACCEPT", "REFUSE", "UNDETERMINED", "CharacterizationVerdict", "characterize",
     "characterize_bipartite", "turan_verdict", "witness_search",
     "ClosureOverflowError", "GGraphError", "InvalidInputError", "InvalidMatrixError",
@@ -40,6 +40,8 @@ EXPORTED = [
     "AdjMatrix", "MatrixDiagnostics", "SpectrumReport", "adjacency_from_multigraph",
     "adjacency_matrix", "matrix_csv", "matrix_diagnostics", "spectrum",
 ]
+# structure_report(mg) became analyze(graph), which takes any graph
+REMOVED = ["structure_report"]
 
 # Runs the CLI in-process and reports its exit code, whether numpy loaded and
 # which ggraphs submodules did.
@@ -129,6 +131,8 @@ def test_group_and_spectral_commands_still_run(tmp_path, argv):
 def test_every_exported_name_resolves():
     for name in EXPORTED:
         assert getattr(ggraphs, name) is not None, name
+    for name in REMOVED:
+        assert not hasattr(ggraphs, name), name
     assert set(EXPORTED) <= set(dir(ggraphs))
     assert ggraphs.spectrum is ggraphs.spectral.spectrum
     assert ggraphs.make_dihedral is ggraphs.groups.make_dihedral

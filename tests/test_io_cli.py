@@ -78,7 +78,8 @@ def _view_and_document(kind, arg):
 def test_views_documents_and_core_carry_one_graph(kind, arg):
     view, doc = _view_and_document(kind, arg)
     core = view.to_multigraph()
-    assert view.weighted_degrees() == core.weighted_degrees()
+    if kind != "plain":  # a Multigraph is its own core
+        assert core.edges == {(u, v): m for u, v, m in view.edges}
     back = loads(dumps(doc)).to_multigraph()
     assert back.n == core.n
     assert back.edges == core.edges
@@ -115,8 +116,7 @@ def test_edge_list_round_trip():
 
 def test_edge_list_parsing_features():
     g = parse_edge_list("# a comment\n0 1 3\n1 2\npartition: 0 2\npartition: 1\n")
-    assert g.multiplicity(0, 1) == 3
-    assert g.multiplicity(1, 2) == 1
+    assert g.edges == {(0, 1): 3, (1, 2): 1}
     assert g.classes == [[0, 2], [1]]
     with pytest.raises(InvalidInputError):
         parse_edge_list("0 0\n")

@@ -27,11 +27,13 @@ from ggraphs.iso import (
     SIZE_BOUND,
     UNKNOWN,
     _Canonicalizer,
+    _complete_multipartite_sizes,
 )
 from ggraphs.multigraph import (
     Multigraph,
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     dodecahedron_graph,
     hypercube_graph,
@@ -47,6 +49,14 @@ try:
     from hypothesis import strategies as st
 except ImportError:  # Hypothesis is optional; without it the property test is left out
     st = None
+
+
+def relabel(graph, perm):
+    """A copy of ``graph`` with vertex v renamed perm[v] and no classes."""
+    return Multigraph(
+        graph.n, edges=((perm[u], perm[v], m) for (u, v), m in graph.edges.items())
+    )
+
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -82,7 +92,7 @@ def test_canonical_form_relabeling_invariance(name, build):
     for _ in range(100):
         perm = list(range(graph.n))
         rng.shuffle(perm)
-        assert canonical_form(graph.relabel(perm)).edges == base.edges
+        assert canonical_form(relabel(graph, perm)).edges == base.edges
 
 
 def test_canonical_form_distinguishes():
@@ -174,6 +184,75 @@ def test_recognize_family_params_consistent():
     assert str(tag) == "complete_bipartite(3, 7)"
 
 
+def _multipartite_reference(graph):
+    """Sorted class sizes when the complement is a disjoint union of at least
+    two cliques and every multiplicity is 1, else None."""
+    if set(graph.edges.values()) - {1}:
+        return None
+    part = list(range(graph.n))  # the lowest vertex of each complement component
+    for u in range(graph.n):
+        for v in range(u + 1, graph.n):
+            if (u, v) not in graph.edges:
+                old, new = max(part[u], part[v]), min(part[u], part[v])
+                part = [new if p == old else p for p in part]
+    classes = {}
+    for v, p in enumerate(part):
+        classes.setdefault(p, []).append(v)
+    for cls in classes.values():
+        if any((u, v) in graph.edges for u in cls for v in cls if u < v):
+            return None
+    return sorted(map(len, classes.values())) if len(classes) >= 2 else None
+
+
+def _sorted_sizes(graph):
+    sizes = _complete_multipartite_sizes(graph)
+    return None if sizes is None else sorted(sizes)
+
+
+def test_multipartite_sizes_on_every_5_vertex_graph():
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    found = 0
+    for bits in range(1 << len(pairs)):
+        edges = [(u, v, 1) for i, (u, v) in enumerate(pairs) if bits >> i & 1]
+        graph = Multigraph(5, edges=edges)
+        want = _multipartite_reference(graph)
+        assert _sorted_sizes(graph) == want, sorted(graph.edges)
+        found += want is not None
+    # one labelled complete multipartite graph per partition of 5 points
+    # into at least two classes: Bell(5) - 1
+    assert found == 51
+
+
+def test_multipartite_sizes_on_shuffled_complete_multipartite_graphs():
+    rng = random.Random(7)
+    for _ in range(200):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+        base = complete_multipartite(sizes)
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        graph = relabel(base, perm)
+        want = sorted(sizes) if len(sizes) >= 2 else None
+        assert _multipartite_reference(graph) == want
+        assert _sorted_sizes(graph) == want
+        if len(sizes) >= 3 and max(sizes) - min(sizes) <= 1 and max(sizes) > 1:
+            tag = recognize_family(graph)
+            if sorted(sizes) == [2, 2, 2]:
+                assert tag.kind == OCTAHEDRON
+            else:
+                assert (tag.kind, tag.params) == (TURAN, (base.n, len(sizes)))
+        if not graph.edges:
+            continue
+        # a doubled edge is refused; with one edge removed, two singleton
+        # classes merge and the graph stays complete multipartite
+        u, v = next(iter(graph.edges))
+        doubled = relabel(graph, list(range(graph.n)))
+        doubled.edges[u, v] = 2
+        assert _sorted_sizes(doubled) is None
+        missing = relabel(graph, list(range(graph.n)))
+        del missing.edges[u, v]
+        assert _sorted_sizes(missing) == _multipartite_reference(missing)
+
+
 def test_isomorphism_agrees_with_vf2_oracle():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher, numerical_edge_match
@@ -205,11 +284,12 @@ def test_isomorphism_agrees_with_vf2_oracle():
         g = random_multigraph(n, rng.choice([0.2, 0.4, 0.7]), rng.choice([1, 2, 3]))
         perm = list(range(n))
         rng.shuffle(perm)
-        assert are_isomorphic(g, g.relabel(perm))
+        assert are_isomorphic(g, relabel(g, perm))
         # perturb one multiplicity, then compare both deciders
-        h = g.copy()
+        h = relabel(g, list(range(n)))
         u, v = rng.sample(range(n), 2)
-        h.edges[(min(u, v), max(u, v))] = h.multiplicity(u, v) + 1
+        key = (min(u, v), max(u, v))
+        h.edges[key] = h.edges.get(key, 0) + 1
         assert are_isomorphic(g, h) == oracle(g, h)
         other = random_multigraph(n, rng.choice([0.2, 0.5]), rng.choice([1, 2]))
         assert are_isomorphic(g, other) == oracle(g, other)
@@ -328,7 +408,7 @@ def test_symmetric_64_vertex_graphs_need_few_search_nodes(name, build, monkeypat
     for _ in range(3):
         perm = list(range(graph.n))
         rng.shuffle(perm)
-        assert canonical_form(graph.relabel(perm)).edges == base
+        assert canonical_form(relabel(graph, perm)).edges == base
 
 
 def _heawood():
@@ -393,7 +473,7 @@ def test_generator_orbits_are_the_vf2_automorphism_orbits(name):
     for g in generators:
         assert sorted(g) == list(range(graph.n))
         for (u, v), m in graph.edges.items():
-            assert graph.multiplicity(g[u], g[v]) == m
+            assert graph.edges[min(g[u], g[v]), max(g[u], g[v])] == m
 
     def marked(v):
         # v first, so VF2 starts its match there

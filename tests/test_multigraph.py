@@ -8,7 +8,7 @@ import pytest
 
 import fixture_catalog as cat
 from ggraphs import TooLargeError, canonical_form
-from ggraphs.analysis import structure_report
+from ggraphs.analysis import analyze
 from ggraphs.io import read_edge_list
 from ggraphs.multigraph import Multigraph, cycle_graph, path_graph
 
@@ -21,7 +21,7 @@ def test_adjacency_is_symmetric_with_multiplicities():
     assert adj == [{1: 3, 3: 5}, {0: 3, 2: 1}, {1: 1}, {0: 5}]
     for u, row in enumerate(adj):
         for v, m in row.items():
-            assert adj[v][u] == m == g.multiplicity(u, v)
+            assert adj[v][u] == m == g.edges[min(u, v), max(u, v)]
 
 
 def test_adjacency_follows_direct_edge_writes():
@@ -32,40 +32,32 @@ def test_adjacency_follows_direct_edge_writes():
 
 def test_empty_graph_is_connected_and_bipartite():
     g = Multigraph(0)
-    assert g.is_connected()
-    assert g.bipartition() == ([], [])
     assert g.traverse() == (([], []), 0)
 
 
 def test_single_vertex():
     g = Multigraph(1)
-    assert g.is_connected()
-    assert g.bipartition() == ([0], [])
     assert g.traverse() == (([0], []), 1)
 
 
 def test_odd_cycle_in_second_component_is_not_bipartite():
     # component {0, 1} is an edge; component {2, 3, 4} is a triangle
     g = Multigraph(5, edges=[(0, 1, 1), (2, 3, 1), (3, 4, 1), (2, 4, 2)])
-    assert not g.is_connected()
-    assert g.bipartition() is None
     assert g.traverse() == (None, 2)
 
 
 def test_disconnected_bipartite_sides_start_at_lowest_vertex():
     # components {0, 3, 5} (a path 3-0-5) and {1, 2, 4} (a path 1-4-2)
     g = Multigraph(6, edges=[(3, 0, 1), (0, 5, 2), (4, 1, 1), (2, 4, 1)])
-    assert not g.is_connected()
-    assert g.bipartition() == ([0, 1, 2], [3, 4, 5])
-    assert g.traverse()[1] == 2
+    assert g.traverse() == (([0, 1, 2], [3, 4, 5]), 2)
 
 
 def test_even_cycle_sides_alternate():
-    assert cycle_graph(6).bipartition() == ([0, 2, 4], [1, 3, 5])
-    assert cycle_graph(5).bipartition() is None
+    assert cycle_graph(6).traverse() == (([0, 2, 4], [1, 3, 5]), 1)
+    assert cycle_graph(5).traverse() == (None, 1)
 
 
-def test_structure_report_builds_the_adjacency_once(monkeypatch):
+def test_analyze_builds_the_adjacency_once(monkeypatch):
     calls = []
     original = Multigraph.adjacency
 
@@ -74,12 +66,13 @@ def test_structure_report_builds_the_adjacency_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Multigraph, "adjacency", counted)
-    report = structure_report(cat.ggraph_of("dihedral10_rs").to_multigraph())
+    report = analyze(cat.ggraph_of("dihedral10_rs"))
     assert report.connected and report.bipartite
     assert len(calls) == 1
 
 
-# sha256 of canonical_form(g).certificate; None: above the canonical-form bound
+# sha256 of the certificate "n=<n>;m=<edge units>;u,v,m;..." written from
+# canonical_form(g).edges; None: above the canonical-form bound
 CERTIFICATE_SHA256 = {
     "alt4_12i": '91a4d99763d1615d53ef211d0c77e4b12c988743c097c2edf59f64463e9ed63c',  # 8
     "alt4_consecutive3": '91a4d99763d1615d53ef211d0c77e4b12c988743c097c2edf59f64463e9ed63c',  # 8
@@ -152,5 +145,8 @@ def test_canonical_certificate_is_pinned(name):
         with pytest.raises(TooLargeError):
             canonical_form(graph)
         return
-    cert = canonical_form(graph).certificate
+    form = canonical_form(graph)
+    cert = f"n={form.n};m={sum(m for _, _, m in form.edges)};" + ";".join(
+        f"{u},{v},{m}" for u, v, m in form.edges
+    )
     assert hashlib.sha256(cert.encode()).hexdigest() == want
