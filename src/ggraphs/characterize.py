@@ -53,7 +53,7 @@ from .errors import (
 )
 from .ggraph import build_ggraph
 from .iso import SIZE_BOUND, canonical_form
-from .multigraph import Multigraph, as_multigraph, turan_sizes
+from .multigraph import Multigraph, as_multigraph, check_partition, turan_sizes
 
 # groups loads numpy, so it is imported inside the functions that use a group
 if TYPE_CHECKING:
@@ -325,11 +325,7 @@ def _characterize_with_partition(
     two_colorable: bool,
 ) -> CharacterizationVerdict:
     classes = [list(cls) for cls in partition]
-    if any(not cls for cls in classes):
-        raise InvalidPartitionError("partition has an empty class")
-    flat = [v for cls in classes for v in cls]
-    if sorted(flat) != list(range(mg.n)):
-        raise InvalidPartitionError("partition must cover every vertex exactly once")
+    check_partition(mg.n, classes)
     clash = mg.intra_class_edge(classes)
     if clash is not None:
         u, v, c = clash
@@ -597,20 +593,16 @@ _catalog_lock = threading.Lock()
 class _CatalogEntry:
     """A catalog group and what ``witness_search`` reads of it.
 
-    ``orders[x]`` is the order of element x.  ``pool(o)`` lists the
-    conjugacy-class representatives of order o, in class order; its first
-    call for o also gives each of them its cyclic subgroup <x>: ``masks``
-    holds each distinct one as an int, bit y set for each member y, and
-    ``subgroup[x]`` is the index of <x> in ``masks``.
+    ``pool(o)`` lists the conjugacy-class representatives of order o, in
+    class order; its first call for o also gives each of them its cyclic
+    subgroup <x>: ``masks`` holds each distinct one as an int, bit y set for
+    each member y, and ``subgroup[x]`` is the index of <x> in ``masks``.
     """
 
-    __slots__ = ("group", "orders", "subgroup", "masks", "_pools")
+    __slots__ = ("group", "subgroup", "masks", "_pools")
 
     def __init__(self, group: GroupTable):
-        from .groups import element_orders
-
         self.group = group
-        self.orders = element_orders(group)
         self.subgroup: dict[int, int] = {}
         self.masks: list[int] = []
         self._pools: dict[int, list[int]] = {}
@@ -627,14 +619,15 @@ class _CatalogEntry:
 
         from .groups import conjugacy_classes, subgroup_closure
 
-        of_order = (self.orders == o).nonzero()[0].tolist()
+        orders = self.group.orders
+        of_order = (orders == o).nonzero()[0].tolist()
         reps = [cls[0] for cls in conjugacy_classes(self.group, of_order)]
         # owner[y]: the subgroup already found that y of order o generates
         owner: dict[int, int] = {}
         for x in reps:
             if x not in owner:
                 members = np.array(subgroup_closure(self.group, [x]))
-                for y in members[self.orders[members] == o].tolist():
+                for y in members[orders[members] == o].tolist():
                     owner[y] = len(self.masks)
                 self.masks.append(sum(1 << y for y in members.tolist()))
             self.subgroup[x] = owner[x]

@@ -10,9 +10,10 @@ stabilizer chain (Schreier-Sims), which lists its elements and, up to
 32 rows at a time.  A permutation group finds the index of a product from
 its images of the chain's base points, one table read per level, with no
 search.
-Construction checks the identity and inverse laws on every element, and
-associativity on every triple up to order 64 and, above it, on 10^5 triples
-drawn with a fixed seed once per process.
+Construction checks the identity law on every element, and associativity
+on every triple up to order 64 and, above it, on 10^5 triples drawn with a
+fixed seed once per process.  It then derives every inverse as x^(|G|-1),
+checks the inverse law, and derives every element order.
 
 Permutation products use the function-composition convention: ``p * q``
 applies ``q`` first, then ``p``.  With right cosets ``<s>x = {s^j x}`` this
@@ -52,10 +53,9 @@ class GroupTable:
     constructor lists first (``identity`` reads 0), and ``labels`` gives a
     distinct display string per element.  A ``rule`` maps
     index arrays (or ints) broadcast together to the indices of their
-    products.  Instances are immutable after construction, except for
-    ``_order_cache``, a memo of element orders that ``element_order`` fills,
-    and safe to share between threads: a dict store is atomic under the GIL,
-    and every thread stores the same order for an element.
+    products.  Constructors pass only the table or rule, the labels and the
+    names: the group derives every inverse as x^(|G|-1) and every element
+    order, ``orders[x]``, once at construction.  Instances are immutable.
     """
 
     identity = 0
@@ -65,11 +65,11 @@ class GroupTable:
         "labels",
         "family_tag",
         "designated",
+        "orders",
         "_flat",
         "_rule",
         "_inv",
         "_label_index",
-        "_order_cache",
     )
 
     def __init__(
@@ -78,7 +78,6 @@ class GroupTable:
         *,
         table: Optional[np.ndarray] = None,
         rule: Optional[Callable] = None,
-        inv: Optional[Sequence[int]] = None,
         labels: Sequence[str],
         family_tag: Optional[str] = None,
         designated: Optional[dict[str, int]] = None,
@@ -101,11 +100,6 @@ class GroupTable:
         self._flat = None if table is None else table.ravel()
         self._rule = None if table is not None else rule
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self._order_cache: dict[int, int] = {}
-        if inv is not None:
-            self._inv = tuple(inv)
-        else:
-            self._inv = self._solve_inverses()
         self._validate()
 
     # -- core operations ---------------------------------------------------
@@ -121,7 +115,7 @@ class GroupTable:
         return self._rule(a, b)
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
+        return int(self._inv[a])
 
     def index_of_label(self, label: str) -> int:
         return self._label_index[label]
@@ -135,32 +129,29 @@ class GroupTable:
 
     # -- validation --------------------------------------------------------
 
-    def _solve_inverses(self) -> tuple[int, ...]:
-        # Only table-backed groups; rule-backed constructors pass inverses.
-        if self._flat is None:
-            raise InvalidParameterError("rule-backed groups must supply inverses")
-        hits = self._flat.reshape(self.order, self.order) == self.identity
-        _require(hits.sum(axis=1) == 1, "element {} lacks a unique inverse")
-        return tuple(hits.argmax(axis=1).tolist())
+    def _powers(self, base: np.ndarray, e: int) -> np.ndarray:
+        """``base[i]`` to the power ``e`` for every i, by square and multiply."""
+        power = np.full(base.size, self.identity)
+        while e:
+            if e & 1:
+                power = self.products(power, base)
+            e >>= 1
+            if e:
+                base = self.products(base, base)
+        return power
 
     def _validate(self) -> None:
+        """Check the group axioms, then set ``_inv`` and ``orders``."""
         n = self.order
         e = self.identity
         if len(self.labels) != n:
             raise InvalidParameterError("label count must equal group order")
         if len(set(self.labels)) != n:
             raise InvalidParameterError("labels must be pairwise distinct")
-        inv = np.asarray(self._inv)
-        if inv.shape != (n,) or not ((inv >= 0) & (inv < n)).all():
-            raise InvalidParameterError("inverses must be element indices")
         every = np.arange(n)
         _require(
             (self.products(e, every) == every) & (self.products(every, e) == every),
             "identity law fails at element {}",
-        )
-        _require(
-            (self.products(every, inv) == e) & (self.products(inv, every) == e),
-            "inverse law fails at element {}",
         )
         # Associativity: exhaustive for small groups, sampled otherwise, in
         # chunks of at most _CHUNK triples to bound the temporaries.
@@ -177,6 +168,27 @@ class GroupTable:
                 i = np.flatnonzero(~holds)[0]
                 triple = tuple(int(x.flat[i]) for x in np.broadcast_arrays(a, b, c))
                 raise InvalidParameterError(f"associativity fails at {triple}")
+        # x^|G| = e in every group of order |G| (Lagrange)
+        inv = self._powers(every, n - 1)
+        _require(
+            (self.products(every, inv) == e) & (self.products(inv, every) == e),
+            "inverse law fails at element {}",
+        )
+        # For each divisor d of |G| in ascending order, raise every element
+        # of unknown order to the power d at once, and give order d to those
+        # that reach the identity.
+        orders = np.zeros(n, dtype=np.intp)
+        for d in range(1, n + 1):
+            if n % d:
+                continue
+            todo = np.flatnonzero(orders == 0)
+            if not todo.size:
+                break
+            orders[todo[self._powers(todo, d) == e]] = d
+        _require(orders > 0, "element {} has no order dividing the group order")
+        inv.flags.writeable = orders.flags.writeable = False
+        self._inv = inv
+        self.orders = orders
 
 
 @functools.cache
@@ -217,7 +229,8 @@ def _require(holds: np.ndarray, message: str) -> None:
 class GenSequence:
     """An ordered generating sequence; repeats are allowed.
 
-    ``positions[i]`` is an element index and ``orders[i]`` its cached order.
+    ``positions[i]`` is an element index and ``orders[i]`` its order, read
+    from ``GroupTable.orders``.
     Each position labels one partition class of the coset graph, so the same
     element may legitimately appear twice.
     """
@@ -479,7 +492,7 @@ def _permutation_group(
     is u_l's position.  Level l keeps a table from the positions p of
     u_1..u_{l-1} and a point x to the start of the next level's cells,
     ``(p * |O_l| + slot[W_p[x]]) * d``; the last level keeps the sorted
-    index instead.  A product or an inverse is found by k table reads.
+    index instead.  A product is found by k table reads.
     Level l has d times the product of the orbit lengths above it cells;
     every orbit has two points or more, so the tables hold fewer cells than
     the group's n x d images.
@@ -535,15 +548,9 @@ def _permutation_group(
         base = np.multiply(a, d)
         return index(flat[base + column[b]] for column in columns)
 
-    # p^-1[b_l] is the point that p maps to b_l; a trivial group has no
-    # levels, so index gives its one element as a scalar
-    inverses = np.atleast_1d(index((perms == lev.point).argmax(axis=1) for lev in levels))
     lengths = [len(lev.orbit) for lev in levels]
     table = _chain_table(rule, sorted_at, lengths) if n <= TABLE_LIMIT else None
-    return GroupTable(
-        n, table=table, rule=rule, inv=inverses.tolist(), labels=labels,
-        family_tag=family_tag,
-    )
+    return GroupTable(n, table=table, rule=rule, labels=labels, family_tag=family_tag)
 
 
 def _chain_table(rule: Callable, sorted_at: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
@@ -578,22 +585,22 @@ def make_cyclic(n: int) -> GroupTable:
     if n > CLOSURE_LIMIT:
         raise SizeLimitError(f"group order {n} exceeds {CLOSURE_LIMIT}")
     return GroupTable(
-        n, rule=lambda a, b: (a + b) % n, inv=[(-i) % n for i in range(n)],
-        labels=[str(i) for i in range(n)], family_tag=f"Z{n}",
+        n, rule=lambda a, b: (a + b) % n, labels=[str(i) for i in range(n)],
+        family_tag=f"Z{n}",
     )
 
 
 def make_trivial() -> GroupTable:
     return GroupTable(
-        1, table=np.zeros((1, 1), dtype=np.int32), inv=[0], labels=["e"],
-        family_tag="Z1", designated={"e": 0},
+        1, table=np.zeros((1, 1), dtype=np.int32), labels=["e"], family_tag="Z1",
+        designated={"e": 0},
     )
 
 
 def make_klein() -> GroupTable:
     """The Klein four-group; mul is XOR on two bits, labels e,a,b,ab."""
     return GroupTable(
-        4, rule=np.bitwise_xor, inv=[0, 1, 2, 3], labels=["e", "a", "b", "ab"],
+        4, rule=np.bitwise_xor, labels=["e", "a", "b", "ab"],
         family_tag="V4", designated={"a": 1, "b": 2, "ab": 3},
     )
 
@@ -608,7 +615,6 @@ def make_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     labels = [
         f"({g.labels[x]},{h.labels[y]})" for x in range(n) for y in range(m)
     ]
-    inv = [g.inv(x) * m + h.inv(y) for x in range(n) for y in range(m)]
     tag = None
     if g.family_tag and h.family_tag:
         tag = f"{g.family_tag}x{h.family_tag}"
@@ -616,7 +622,7 @@ def make_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     def rule(a, b):
         return g.products(a // m, b // m) * m + h.products(a % m, b % m)
 
-    return GroupTable(total, rule=rule, inv=inv, labels=labels, family_tag=tag)
+    return GroupTable(total, rule=rule, labels=labels, family_tag=tag)
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -642,21 +648,19 @@ def make_alternating(n: int) -> GroupTable:
 
 
 def _normal_form_group(
-    na: int,
-    twist: int,
-    square: int,
-    gen_a_label: str,
-    gen_b_label: str,
-    family_tag: str,
+    na: int, twist: int, square: int, family_tag: str, designated: dict[str, int]
 ) -> GroupTable:
     """Group on normal forms a^i b^j (0 <= i < na, j in {0,1}).
 
     Index = i + na*j.  The relations are a^na = e, b a = a^twist b and
-    b^2 = a^square, with twist^2 = 1 mod na.
+    b^2 = a^square, with twist^2 = 1 mod na.  ``designated`` names a
+    (index 1) and b (index na) first, in that order, and the labels spell
+    the normal forms with those names.
     """
     total = 2 * na
     if total > CLOSURE_LIMIT:
         raise SizeLimitError(f"group order {total} exceeds {CLOSURE_LIMIT}")
+    gen_a_label, gen_b_label = list(designated)[:2]
 
     def label(i: int, j: int) -> str:
         ai = "" if i == 0 else (gen_a_label if i == 1 else f"{gen_a_label}{i}")
@@ -664,10 +668,6 @@ def _normal_form_group(
         return (ai + bj) or "e"
 
     labels = [label(i, j) for j in (0, 1) for i in range(na)]
-    # (a^i b)^-1 = a^(-twist*(i+square)) b, since twist^2 = 1
-    inv = [(-i) % na for i in range(na)]
-    inv += [(-twist * (i + square)) % na + na for i in range(na)]
-    designated = {gen_a_label: 1, gen_b_label: na}
 
     def rule(x, y):
         i1, j1 = x % na, x // na
@@ -676,8 +676,7 @@ def _normal_form_group(
         return i3 + na * ((j1 + j2) % 2)
 
     return GroupTable(
-        total, rule=rule, inv=inv, labels=labels, family_tag=family_tag,
-        designated=designated,
+        total, rule=rule, labels=labels, family_tag=family_tag, designated=designated,
     )
 
 
@@ -685,27 +684,26 @@ def make_dihedral(n: int) -> GroupTable:
     """D_2n = <r, s | r^n = s^2 = e, s r s = r^-1>, order 2n.
 
     Designated generators: ``r`` (order n), ``s`` (order 2) and the second
-    reflection ``t`` = r*s used by the two-reflection generating set.
+    reflection ``t`` = r*s, labelled ``rs``, used by the two-reflection
+    generating set.
     """
     if n < 2:
         raise InvalidParameterError("dihedral parameter must be >= 2")
-    g = _normal_form_group(n, -1, 0, "r", "s", f"D{2 * n}")
-    g.designated["t"] = g.mul(g.designated["r"], g.designated["s"])
-    return g
+    return _normal_form_group(n, -1, 0, f"D{2 * n}", {"r": 1, "s": n, "t": n + 1})
 
 
 def make_generalized_quaternion(n: int) -> GroupTable:
     """Order-4n group <a, b | a^2n = e, b^2 = a^n, a b = b a^(2n-1)>."""
     if n < 2:
         raise InvalidParameterError("generalized quaternion parameter must be >= 2")
-    return _normal_form_group(2 * n, -1, n, "a", "b", f"Q{4 * n}")
+    return _normal_form_group(2 * n, -1, n, f"Q{4 * n}", {"a": 1, "b": 2 * n})
 
 
 def make_semidihedral(k: int) -> GroupTable:
     """Order-8k group <a, b | a^4k = b^2 = e, b a = a^(2k-1) b>."""
     if k < 1:
         raise InvalidParameterError("semidihedral parameter must be >= 1")
-    return _normal_form_group(4 * k, 2 * k - 1, 0, "a", "b", f"SD{8 * k}")
+    return _normal_form_group(4 * k, 2 * k - 1, 0, f"SD{8 * k}", {"a": 1, "b": 4 * k})
 
 
 def closure_from_permutations(gens: Iterable[tuple[int, ...] | str]) -> GroupTable:
@@ -745,46 +743,13 @@ def closure_from_permutations(gens: Iterable[tuple[int, ...] | str]) -> GroupTab
 
 def element_order(g: GroupTable, x: int) -> int:
     """Smallest t >= 1 with x^t = identity."""
-    cached = g._order_cache.get(x)
-    if cached is not None:
-        return cached
-    acc = x
-    t = 1
-    while acc != g.identity:
-        acc = g.mul(acc, x)
-        t += 1
-    assert g.order % t == 0, "element order must divide the group order"
-    g._order_cache[x] = t
-    return t
-
-
-def element_orders(g: GroupTable) -> np.ndarray:
-    """The order of every element, as an array indexed by element.
-
-    For each divisor d of |G| in ascending order, it raises every element of
-    unknown order to the power d at once (square and multiply over index
-    arrays) and gives order d to those that reach the identity.
-    """
-    orders = np.zeros(g.order, dtype=np.intp)
-    for d in range(1, g.order + 1):
-        if g.order % d:
-            continue
-        todo = np.flatnonzero(orders == 0)
-        if not todo.size:
-            break
-        power, base, e = np.full(todo.size, g.identity), todo, d
-        while e:
-            if e & 1:
-                power = g.products(power, base)
-            e >>= 1
-            if e:
-                base = g.products(base, base)
-        orders[todo[power == g.identity]] = d
-    return orders
+    _require_elements(g, [x])
+    return int(g.orders[x])
 
 
 def make_gen_sequence(g: GroupTable, elements: Sequence[int]) -> GenSequence:
-    """Validate that ``elements`` generate ``g`` and cache their orders.
+    """Validate that ``elements`` generate ``g`` and read their orders from
+    ``g.orders``.
 
     Raises NotAGeneratingSetError when the closure of the elements and their
     inverses is a proper subgroup.
@@ -792,15 +757,19 @@ def make_gen_sequence(g: GroupTable, elements: Sequence[int]) -> GenSequence:
     positions = tuple(int(x) for x in elements)
     if len(positions) < 1:
         raise InvalidParameterError("generating sequence must be non-empty")
-    for x in positions:
-        if not 0 <= x < g.order:
-            raise InvalidParameterError(f"element index {x} out of range")
     if len(subgroup_closure(g, positions)) != g.order:
         raise NotAGeneratingSetError(
             "elements do not generate the group: "
             + ", ".join(g.labels[x] for x in positions)
         )
-    return GenSequence(positions, tuple(element_order(g, x) for x in positions))
+    return GenSequence(positions, tuple(g.orders[list(positions)].tolist()))
+
+
+def _require_elements(g: GroupTable, elements: Iterable[int]) -> None:
+    """Refuse an index outside ``0..order-1``, which numpy would wrap."""
+    for x in elements:
+        if not 0 <= x < g.order:
+            raise InvalidParameterError(f"element index {x} out of range")
 
 
 def subgroup_closure(
@@ -811,6 +780,7 @@ def subgroup_closure(
     The closure is naturally bounded by |G|; pass ``cap`` to fail early when
     a quadratic structure is about to be built from the result.
     """
+    _require_elements(g, elements)
     gens = np.array(sorted({*elements, *map(g.inv, elements)}), dtype=np.intp)
     seen = np.zeros(g.order, dtype=bool)
     seen[g.identity] = True
@@ -845,12 +815,7 @@ def subgroup_table(g: GroupTable, elements: Sequence[int]) -> tuple[GroupTable, 
     def rule(a, b):
         return to_sub[g.products(members[a], members[b])]
 
-    sub = GroupTable(
-        len(members),
-        rule=rule,
-        inv=to_sub[[g.inv(x) for x in members]].tolist(),
-        labels=[g.labels[x] for x in members],
-    )
+    sub = GroupTable(len(members), rule=rule, labels=[g.labels[x] for x in members])
     return sub, {x: i for i, x in enumerate(members.tolist())}
 
 
@@ -862,6 +827,7 @@ def right_cosets(g: GroupTable, s: int) -> list[Coset]:
     multiplication by s.  Which class of a coset graph a coset belongs to is
     the position of the partition that holds it, not stored on the coset.
     """
+    _require_elements(g, [s])
     left = g.products(s, np.arange(g.order)).tolist()
     seen = [False] * g.order
     out = []
@@ -889,14 +855,15 @@ def conjugacy_classes(
     only the classes inside it.
     """
     every = np.arange(g.order)
-    inverses = np.array(g._inv)
+    candidates = range(g.order) if among is None else sorted(among)
+    _require_elements(g, candidates)
     seen = np.zeros(g.order, dtype=bool)
     classes = []
-    for x in range(g.order) if among is None else sorted(among):
+    for x in candidates:
         if seen[x]:
             continue
         members = np.zeros(g.order, dtype=bool)
-        members[g.products(g.products(every, x), inverses)] = True
+        members[g.products(g.products(every, x), g._inv)] = True
         seen |= members
         classes.append(np.flatnonzero(members).tolist())
     return classes

@@ -97,6 +97,8 @@ class GraphDocument:
         n = len(ids)
         if sorted(ids) != list(range(n)):
             raise InvalidInputError("vertex ids must be dense from 0")
+        if self._has_classes() and not all(part["vertices"] for part in self.partitions):
+            raise InvalidInputError("partition has an empty class")
         for e in self.edges:
             if type(e) is dict:
                 u, v, m = e.get("u"), e.get("v"), e.get("multiplicity")
@@ -112,9 +114,14 @@ class GraphDocument:
     def vertex_count(self) -> int:
         return sum(len(part["vertices"]) for part in self.partitions)
 
+    def _has_classes(self) -> bool:
+        """Whether the partitions are the graph's classes: always in a coset
+        graph or a ball, and in a plain graph when there are two or more."""
+        return self.kind in ("ggraph", "ball") or len(self.partitions) > 1
+
     def to_multigraph(self) -> Multigraph:
         classes = None
-        if self.kind in ("ggraph", "ball") or len(self.partitions) > 1:
+        if self._has_classes():
             classes = [
                 [v["id"] for v in part["vertices"]] for part in self.partitions
             ]
@@ -344,14 +351,7 @@ def parse_edge_list(text: str) -> Multigraph:
             raise InvalidInputError(f"line {lineno}: loops are not allowed")
         edges.append((u, v, m))
         max_vertex = max(max_vertex, u, v)
-    mg = Multigraph(max_vertex + 1, classes or None, edges)
-    if classes:
-        covered = sorted(v for cls in classes for v in cls)
-        if covered != list(range(mg.n)):
-            raise InvalidInputError(
-                "partition headers must cover every vertex exactly once"
-            )
-    return mg
+    return Multigraph(max_vertex + 1, classes or None, edges)
 
 
 def format_edge_list(mg: Multigraph) -> str:

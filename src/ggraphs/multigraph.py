@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidParameterError, SizeLimitError
+from .errors import InvalidParameterError, InvalidPartitionError, SizeLimitError
 
 VERTEX_LIMIT = 100_000
 # most edge units (the sum of multiplicities) a coset graph or DOT export holds
@@ -21,11 +21,20 @@ def weighted_degrees(n: int, triples: Iterable[tuple[int, int, int]]) -> list[in
     return deg
 
 
+def check_partition(n: int, classes: Sequence[Sequence[int]]) -> None:
+    """Refuse classes that are empty or do not cover ``0..n-1`` exactly once."""
+    if any(len(cls) == 0 for cls in classes):
+        raise InvalidPartitionError("partition has an empty class")
+    if sorted(v for cls in classes for v in cls) != list(range(n)):
+        raise InvalidPartitionError("partition must cover every vertex exactly once")
+
+
 class Multigraph:
     """Undirected multigraph on vertices ``0..n-1`` with integer multiplicities.
 
     ``classes`` optionally records a vertex partition (used when the graph
-    came from a coset construction or an annotated edge list).  ``edges``
+    came from a coset construction or an annotated edge list), refused by
+    ``check_partition`` unless it covers every vertex exactly once.  ``edges``
     are ``(u, v, m)`` triples, added through add_edge.  ``n`` is bounded at
     VERTEX_LIMIT, so no input can size a graph past it.
     """
@@ -40,6 +49,8 @@ class Multigraph:
             raise InvalidParameterError("vertex count must be >= 0")
         if n > VERTEX_LIMIT:
             raise SizeLimitError(f"vertex count {n} exceeds {VERTEX_LIMIT}")
+        if classes is not None:
+            check_partition(n, classes)
         self.n = n
         self.edges: dict[tuple[int, int], int] = {}
         self.classes = classes
@@ -198,14 +209,14 @@ def star_graph(leaves: int) -> Multigraph:
 
 
 def complete_multipartite(sizes: Iterable[int], mult: int = 1) -> Multigraph:
-    sizes = list(sizes)
-    g = Multigraph(sum(sizes), classes=[])
+    classes = []
     start = 0
     for size in sizes:
-        g.classes.append(list(range(start, start + size)))
+        classes.append(list(range(start, start + size)))
         start += size
-    for i, ci in enumerate(g.classes):
-        for cj in g.classes[i + 1:]:
+    g = Multigraph(start, classes)
+    for i, ci in enumerate(classes):
+        for cj in classes[i + 1:]:
             for u in ci:
                 for v in cj:
                     g.add_edge(u, v, mult)

@@ -35,8 +35,9 @@ from ggraphs.groups import (
     _stabilizer_chain,
     conjugacy_classes,
     cycle_notation,
-    element_orders,
     parse_cycles,
+    subgroup_closure,
+    subgroup_table,
 )
 from ggraphs.multigraph import VERTEX_LIMIT
 
@@ -241,6 +242,20 @@ def test_element_order_basics():
     assert element_order(s4, s4.index_of_label("(123)")) == 3
     sd16 = make_semidihedral(2)
     assert element_order(sd16, sd16.designated["a"]) == 8
+
+
+@pytest.mark.parametrize("x", [-1, 6, 2**40], ids=["negative", "order", "huge"])
+def test_element_indices_are_range_checked(x):
+    # numpy would wrap -1 to the last element and refuse 6 with a bare IndexError
+    s3 = make_symmetric(3)
+    for call in (
+        element_order, right_cosets,
+        lambda g, y: subgroup_closure(g, [0, y]), lambda g, y: conjugacy_classes(g, [0, y]),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"element index {x} out of range"):
+            call(s3, x)
+    with pytest.raises(InvalidParameterError, match=f"element index {x} out of range"):
+        make_gen_sequence(s3, [1, x])
 
 
 def test_element_orders_divide_group_order():
@@ -685,11 +700,32 @@ def test_conjugacy_classes_match_scalar_reference(g):
         ]
 
 
-@pytest.mark.parametrize("g", CLASS_GROUPS + [make_cyclic(10000)], ids=repr)
+_S5 = make_symmetric(5)
+# one group from each constructor, each of which once wrote its own inverses
+REFERENCE_GROUPS = CLASS_GROUPS + [
+    make_cyclic(10000), make_cyclic(7), make_trivial(), make_klein(), make_dihedral(4),
+    make_generalized_quaternion(2), make_direct_product(make_cyclic(3), make_klein()),
+    # a dihedral group of order 10 inside S5
+    subgroup_table(_S5, [_S5.index_of_label("(12345)"), _S5.index_of_label("(25)(34)")])[0],
+    make_symmetric(7), make_alternating(4),
+    closure_from_permutations(["(12)(34)", "(1 2 3)", "(5 6)"]),
+]
+
+
+@pytest.mark.parametrize("g", REFERENCE_GROUPS, ids=repr)
 def test_element_orders_match_scalar_reference(g):
-    orders = element_orders(g).tolist()
+    """Inverses and orders, which construction derives, against brute force."""
+    orders = g.orders.tolist()
+    inverses = [g.inv(x) for x in range(g.order)]
     if g.order == 10000:
-        # the order of i in Z10000 is 10000 / gcd(i, 10000)
+        # the order of i in Z10000 is 10000 / gcd(i, 10000), its inverse -i
         assert orders == [10000 // math.gcd(i, 10000) for i in range(10000)]
+        assert inverses == [-i % 10000 for i in range(10000)]
         return
-    assert orders == [element_order(g, x) for x in range(g.order)]
+    every = np.arange(g.order)
+    for x in range(g.order):
+        assert np.flatnonzero(g.products(x, every) == g.identity).tolist() == [inverses[x]]
+        power, t = x, 1
+        while power != g.identity:
+            power, t = g.mul(power, x), t + 1
+        assert orders[x] == t == element_order(g, x)

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import fixture_catalog as cat
-from ggraphs import InvalidInputError, SizeLimitError, affine_ball, sl2z_ball
+from ggraphs import (
+    InvalidInputError, InvalidPartitionError, SizeLimitError, affine_ball, sl2z_ball,
+)
 from ggraphs.cli import main
 from ggraphs.io import (
     document_from_ball,
@@ -114,13 +116,23 @@ def test_edge_list_round_trip():
     assert back.classes == g.classes
 
 
+def test_partition_headers_must_cover_every_vertex_once(tmp_path, capsys):
+    for headers in ("partition: 0\npartition: 1\n", "partition: 0 1\npartition: 1 2\n"):
+        path = tmp_path / "p.edges"
+        path.write_text("0 2\n" + headers, encoding="utf-8")
+        for command in ("analyze", "characterize"):
+            assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.count(
+        "error: partition must cover every vertex exactly once\n") == 4
+
+
 def test_edge_list_parsing_features():
     g = parse_edge_list("# a comment\n0 1 3\n1 2\npartition: 0 2\npartition: 1\n")
     assert g.edges == {(0, 1): 3, (1, 2): 1}
     assert g.classes == [[0, 2], [1]]
     with pytest.raises(InvalidInputError):
         parse_edge_list("0 0\n")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidPartitionError, match="cover every vertex exactly once"):
         parse_edge_list("0 1\npartition: 0\n")  # does not cover vertex 1
 
 
@@ -382,6 +394,8 @@ def _with(path, value):
         _with(("partitions", 0, "vertices", 1), 1),
         _with(("partitions", 0, "vertices", 1, "id"), True),
         _with(("partitions", 0, "vertices", 1, "coset_labels"), [1, 2]),
+        # two partitions are the graph's classes, and a class is never empty
+        _with(("partitions",), [{"vertices": [{"id": 0}, {"id": 1}]}, {"vertices": []}]),
     ],
 )
 def test_cli_rejects_malformed_documents(tmp_path, capsys, doc):

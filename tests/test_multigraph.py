@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fixture_catalog as cat
-from ggraphs import TooLargeError, canonical_form
+from ggraphs import InvalidPartitionError, TooLargeError, canonical_form
 from ggraphs.analysis import analyze
 from ggraphs.io import read_edge_list
 from ggraphs.multigraph import Multigraph, cycle_graph, path_graph
@@ -38,6 +38,23 @@ def test_empty_graph_is_connected_and_bipartite():
 def test_single_vertex():
     g = Multigraph(1)
     assert g.traverse() == (([0], []), 1)
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([[0], [1]], "cover every vertex exactly once"),
+        ([[0, 1], [1, 2]], "cover every vertex exactly once"),
+        ([[0, 1, 2], []], "empty class"),
+        ([[0], [1], [2], [3]], "cover every vertex exactly once"),
+    ],
+    ids=["misses-a-vertex", "vertex-in-two-classes", "empty-class", "past-the-last-vertex"],
+)
+def test_stored_partition_must_cover_every_vertex_once(classes, message):
+    # analyze, the k-partite check and document_from_multigraph all read the
+    # stored partition, so a graph is never built with a malformed one
+    with pytest.raises(InvalidPartitionError, match=message):
+        Multigraph(3, classes, [(0, 2, 1)])
 
 
 def test_odd_cycle_in_second_component_is_not_bipartite():
