@@ -7,8 +7,7 @@ subgroup-induced-subgraph comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .ggraph import build_ggraph
 from .multigraph import as_multigraph
@@ -18,8 +17,7 @@ if TYPE_CHECKING:
     from .groups import GenSequence, GroupTable
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     connected: bool
     eulerian: bool
     bipartite: bool

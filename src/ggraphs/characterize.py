@@ -39,10 +39,9 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from functools import partial
 from itertools import product as _cartesian
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -67,8 +66,7 @@ SEARCH_K_BOUND = 6
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class CharacterizationVerdict:
+class CharacterizationVerdict(NamedTuple):
     status: str
     k: Optional[int] = None
     class_sizes: Optional[tuple[int, ...]] = None

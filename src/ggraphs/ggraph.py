@@ -8,8 +8,7 @@ edge counts always count multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotAGeneratingSetError, SizeLimitError
 from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph
@@ -19,8 +18,7 @@ if TYPE_CHECKING:
     from .groups import Coset, GenSequence, GroupTable
 
 
-@dataclass(frozen=True)
-class PredictedStats:
+class PredictedStats(NamedTuple):
     """Closed-form statistics implied by |G| and the generator orders."""
 
     class_vertex_counts: tuple[int, ...]

@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -105,6 +104,7 @@ class GroupTable:
     # -- core operations ---------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
+        _require_elements(self, (a, b))
         return int(self.products(a, b))
 
     def products(self, a, b) -> np.ndarray:
@@ -115,6 +115,7 @@ class GroupTable:
         return self._rule(a, b)
 
     def inv(self, a: int) -> int:
+        _require_elements(self, (a,))
         return int(self._inv[a])
 
     def index_of_label(self, label: str) -> int:
@@ -225,7 +226,6 @@ def _require(holds: np.ndarray, message: str) -> None:
         raise InvalidParameterError(message.format(int(failed[0])))
 
 
-@dataclass(frozen=True)
 class GenSequence:
     """An ordered generating sequence; repeats are allowed.
 
@@ -235,15 +235,17 @@ class GenSequence:
     element may legitimately appear twice.
     """
 
-    positions: tuple[int, ...]
-    orders: tuple[int, ...]
+    __slots__ = ("positions", "orders")
+
+    def __init__(self, positions: tuple[int, ...], orders: tuple[int, ...]):
+        self.positions = positions
+        self.orders = orders
 
     def __len__(self) -> int:
         return len(self.positions)
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(NamedTuple):
     """A right coset ``<s>x`` of a cyclic subgroup, as sorted element indices."""
 
     elements: tuple[int, ...]

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InvalidParameterError, SizeLimitError
 from .multigraph import Multigraph
@@ -33,14 +32,24 @@ SL2Z_RADIUS_LIMIT = 12
 AFFINE_RADIUS_LIMIT = 1000
 
 
-@dataclass(frozen=True)
 class Mat2Z:
     """2x2 integer matrix; SL2(Z) elements have determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    def __eq__(self, other):
+        if type(other) is not Mat2Z:
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     def __mul__(self, other: "Mat2Z") -> "Mat2Z":
         return Mat2Z(
@@ -57,16 +66,24 @@ class Mat2Z:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
 class AffElem:
     """Element (a, b) of the affine group, i.e. the matrix [[a,b],[0,1]]."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a not in (1, -1):
+    def __init__(self, a: int, b: int):
+        if a not in (1, -1):
             raise InvalidParameterError("a must be +1 or -1")
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if type(other) is not AffElem:
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     def __mul__(self, other: "AffElem") -> "AffElem":
         return AffElem(self.a * other.a, self.a * other.b + self.b)
@@ -75,8 +92,7 @@ class AffElem:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class BallVertex:
+class BallVertex(NamedTuple):
     class_id: int
     elements: tuple  # member keys, sorted; the first is the canonical key
     interior: bool

@@ -20,7 +20,6 @@ covered).  The graph is sized from the largest id, so ids at or above
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
@@ -39,13 +38,22 @@ _DOT_PALETTE = (
 )
 
 
-@dataclass
 class GraphDocument:
-    kind: str  # "ggraph" | "plain" | "ball"
-    partitions: list[dict]
-    edges: list[dict]
-    metadata: dict = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
+    __slots__ = ("kind", "partitions", "edges", "metadata", "schema_version")
+
+    def __init__(
+        self,
+        kind: str,  # "ggraph" | "plain" | "ball"
+        partitions: list[dict],
+        edges: list[dict],
+        metadata: Optional[dict] = None,
+        schema_version: str = SCHEMA_VERSION,
+    ):
+        self.kind = kind
+        self.partitions = partitions
+        self.edges = edges
+        self.metadata = {} if metadata is None else metadata
+        self.schema_version = schema_version
 
     def to_dict(self) -> dict:
         return {

@@ -33,7 +33,7 @@ closed-form statistics instead.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import TooLargeError
 from .multigraph import (
@@ -59,16 +59,33 @@ OCTAHEDRON = "octahedron"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
-    n: int
-    edges: tuple[tuple[int, int, int], ...]
-    # generators of the input graph's automorphism group, as vertex maps
-    generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    """The canonical ``edges`` of an n-vertex graph; two forms are equal when
+    n and the edges are, whatever their ``generators``."""
+
+    __slots__ = ("n", "edges", "generators")
+
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, int, int], ...],
+        # generators of the input graph's automorphism group, as vertex maps
+        generators: tuple[tuple[int, ...], ...] = (),
+    ):
+        self.n = n
+        self.edges = edges
+        self.generators = generators
+
+    def __eq__(self, other):
+        if type(other) is not CanonicalForm:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     kind: str
     params: tuple[int, ...] = ()
 

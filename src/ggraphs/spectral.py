@@ -23,8 +23,7 @@ carries the booleans energy >= n and energy = 2n - 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ NORMAL = "NORMAL"
 HYPER = "HYPER"
 
 
-@dataclass(frozen=True, eq=False)
 class AdjMatrix:
     """Symmetric integer adjacency matrix with a zero diagonal.
 
@@ -50,10 +48,10 @@ class AdjMatrix:
     the package builds.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = self.matrix
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = m = matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidMatrixError("adjacency matrix must be square")
         if not np.array_equal(m, m.T):
@@ -73,8 +71,7 @@ class AdjMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     eigenvalues: tuple[tuple[float, int], ...]  # (value, multiplicity), descending
     energy: float
     energy_class: str
@@ -84,8 +81,7 @@ class SpectrumReport:
     energy_at_upper_bound: bool
 
 
-@dataclass(frozen=True)
-class MatrixDiagnostics:
+class MatrixDiagnostics(NamedTuple):
     row_sums: tuple[int, ...]
     block_row_sums: tuple[Optional[int], ...]
     blocks_uniform: bool

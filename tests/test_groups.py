@@ -246,10 +246,12 @@ def test_element_order_basics():
 
 @pytest.mark.parametrize("x", [-1, 6, 2**40], ids=["negative", "order", "huge"])
 def test_element_indices_are_range_checked(x):
-    # numpy would wrap -1 to the last element and refuse 6 with a bare IndexError
+    # numpy would wrap -1 to the last element and refuse 6 with a bare IndexError;
+    # mul(0, 6) would read row 1 of the flat table
     s3 = make_symmetric(3)
     for call in (
-        element_order, right_cosets,
+        element_order, right_cosets, GroupTable.inv,
+        lambda g, y: g.mul(0, y), lambda g, y: g.mul(y, 0),
         lambda g, y: subgroup_closure(g, [0, y]), lambda g, y: conjugacy_classes(g, [0, y]),
     ):
         with pytest.raises(InvalidParameterError, match=f"element index {x} out of range"):

@@ -1,8 +1,8 @@
 """Each command loads only the layers it runs; the public surface holds.
 
-numpy loads only with the group and spectral layers.  The module checks each
-run in a fresh interpreter, since the test process has imported every module
-long before.
+numpy loads only with the group and spectral layers, and no command loads
+dataclasses.  The module checks each run in a fresh interpreter, since the
+test process has imported every module long before.
 """
 
 import json
@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ggraphs
@@ -43,14 +44,15 @@ EXPORTED = [
 # structure_report(mg) became analyze(graph), which takes any graph
 REMOVED = ["structure_report"]
 
-# Runs the CLI in-process and reports its exit code, whether numpy loaded and
-# which ggraphs submodules did.
+# Runs the CLI in-process and reports its exit code, whether numpy and
+# dataclasses loaded and which ggraphs submodules did.
 CLI_PROBE = """
 import json, sys
 from ggraphs.cli import main
 code = main(sys.argv[1:])
 modules = sorted(name[len("ggraphs."):] for name in sys.modules if name.startswith("ggraphs."))
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "modules": modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules, "modules": modules}))
 """
 
 # The submodules each command must not load.  Every process of a command
@@ -76,10 +78,21 @@ def _python(code, *args, cwd, stdin=None):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def bare_loads_dataclasses(tmp_path_factory):
+    """Whether a bare interpreter here loads dataclasses, as a site .pth can;
+    then no command can be held to leaving it out."""
+    code = "import json, sys; print(json.dumps('dataclasses' in sys.modules))"
+    return _python(code, cwd=tmp_path_factory.mktemp("bare"))
+
+
 @pytest.mark.parametrize("module", ["ggraphs", "ggraphs.cli"])
-def test_import_leaves_numpy_out(tmp_path, module):
-    code = f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))"
-    assert _python(code, cwd=tmp_path) is False
+def test_import_leaves_numpy_out(tmp_path, bare_loads_dataclasses, module):
+    code = (f"import json, sys, {module}; "
+            "print(json.dumps(['numpy' in sys.modules, 'dataclasses' in sys.modules]))")
+    numpy, dataclasses = _python(code, cwd=tmp_path)
+    assert numpy is False
+    assert bare_loads_dataclasses or dataclasses is False
 
 
 @pytest.fixture
@@ -105,11 +118,12 @@ def cube_json(tmp_path):
     ids=["analyze_edges", "analyze_json", "characterize_accept", "characterize_refuse",
          "characterize_json", "export_dot", "infinite"],
 )
-def test_graph_commands_leave_numpy_out(tmp_path, cube_json, argv):
+def test_graph_commands_leave_numpy_out(tmp_path, cube_json, bare_loads_dataclasses, argv):
     argv = [arg.format(fixtures=FIXDIR) for arg in argv]
     result = _python(CLI_PROBE, *argv, cwd=tmp_path)
     assert result["code"] in (0, 4)
     assert result["numpy"] is False
+    assert bare_loads_dataclasses or result["dataclasses"] is False
     assert not NOT_LOADED[argv[0]] & set(result["modules"]), result["modules"]
 
 
@@ -121,10 +135,11 @@ def test_graph_commands_leave_numpy_out(tmp_path, cube_json, argv):
     ],
     ids=["build", "spectrum"],
 )
-def test_group_and_spectral_commands_still_run(tmp_path, argv):
+def test_group_and_spectral_commands_still_run(tmp_path, bare_loads_dataclasses, argv):
     argv = [arg.format(fixtures=FIXDIR) for arg in argv]
     result = _python(CLI_PROBE, *argv, cwd=tmp_path)
     assert (result["code"], result["numpy"]) == (0, True)
+    assert bare_loads_dataclasses or result["dataclasses"] is False
     assert not NOT_LOADED.get(argv[0], set()) & set(result["modules"]), result["modules"]
 
 
@@ -137,6 +152,80 @@ def test_every_exported_name_resolves():
     assert ggraphs.spectrum is ggraphs.spectral.spectrum
     assert ggraphs.make_dihedral is ggraphs.groups.make_dihedral
     assert "make_dihedral" in vars(ggraphs)  # cached after the first lookup
+
+
+def _equal_and_hashed_alike(a, b, other):
+    assert a == b and hash(a) == hash(b) and a != other
+
+
+def _named_tuple_records():
+    """One record of each type that is a NamedTuple, built as callers build it."""
+    from ggraphs.io import read_edge_list
+
+    d10 = ggraphs.make_dihedral(5)
+    seq = ggraphs.make_gen_sequence(d10, [d10.designated["r"], d10.designated["s"]])
+    gg = ggraphs.build_ggraph(d10, seq)
+    adj = ggraphs.adjacency_matrix(gg)
+    return [
+        ggraphs.analyze(gg), ggraphs.predicted_stats(d10, seq), ggraphs.recognize_family(gg),
+        ggraphs.characterize(read_edge_list(FIXDIR / "cube.edges")),
+        ggraphs.sl2z_ball(1).vertices[0], gg.partitions[0][0],
+        ggraphs.spectrum(adj), ggraphs.matrix_diagnostics(adj, gg),
+    ]
+
+
+def _fields_refuse_assignment():
+    records = _named_tuple_records()
+    assert [type(r).__name__ for r in records] == [
+        "StructureReport", "PredictedStats", "FamilyTag", "CharacterizationVerdict",
+        "BallVertex", "Coset", "SpectrumReport", "MatrixDiagnostics",
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+
+
+def _bad_adjacency_refused():
+    with pytest.raises(ggraphs.InvalidMatrixError, match="must be square"):
+        ggraphs.AdjMatrix(np.zeros((2, 3), dtype=np.int64))
+
+
+def _elements_as_dict_keys():
+    mat, aff = ggraphs.Mat2Z, ggraphs.AffElem
+    seen = {mat(0, -1, 1, 0): "s1", aff(-1, 0): "s0"}
+    assert seen[mat(0, -1, 1, 0)] == "s1" and seen[aff(-1, 0)] == "s0"
+    assert mat(0, -1, 1, 0) * mat(0, -1, 1, 0) not in seen
+    assert aff(-1, 0) * aff(-1, 0) == aff(1, 0) != mat(1, 0, 0, 1)
+
+
+# What callers rely on in each record type: the NamedTuples get equality,
+# hashing and read-only fields from tuple, the plain classes write their own.
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: _equal_and_hashed_alike(
+            ggraphs.CharacterizationVerdict("REFUSE", k=2, refusal_reason="odd"),
+            ggraphs.CharacterizationVerdict("REFUSE", k=2, refusal_reason="odd"),
+            ggraphs.CharacterizationVerdict("REFUSE", k=3, refusal_reason="odd"),
+        ),
+        lambda: _equal_and_hashed_alike(
+            ggraphs.FamilyTag("cycle", (8,)), ggraphs.FamilyTag("cycle", (8,)),
+            ggraphs.FamilyTag("cycle", (9,)),
+        ),
+        lambda: _equal_and_hashed_alike(
+            ggraphs.CanonicalForm(2, ((0, 1, 1),), ((1, 0),)),
+            ggraphs.CanonicalForm(2, ((0, 1, 1),)),
+            ggraphs.CanonicalForm(2, ((0, 1, 2),), ((1, 0),)),
+        ),
+        _bad_adjacency_refused,
+        _elements_as_dict_keys,
+        _fields_refuse_assignment,
+    ],
+    ids=["verdict", "family_tag", "canonical_form", "adjacency", "dict_keys",
+         "frozen_fields"],
+)
+def test_records_keep_what_callers_use(check):
+    check()
 
 
 def test_star_import_binds_every_exported_name(tmp_path):
