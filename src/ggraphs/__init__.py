@@ -31,8 +31,7 @@ _LAZY = {
         "make_semidihedral", "make_symmetric", "make_trivial", "right_cosets",
     ),
     "infinite": (
-        "INFINITE", "AffElem", "BallGraph", "Mat2Z", "affine_ball", "is_locally_finite",
-        "sl2z_ball",
+        "INFINITE", "BallGraph", "affine_ball", "is_locally_finite", "sl2z_ball",
     ),
     "io": (),
     "iso": ("CanonicalForm", "FamilyTag", "are_isomorphic", "canonical_form", "recognize_family"),

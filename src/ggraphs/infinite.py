@@ -14,12 +14,14 @@ The integer matrix groups and their generators:
   s0 = (-1, 0) and s2 = (-1, -1), both of order 2; intersections have size
   0 or 1 and the graph is a two-way infinite path.
 
-Matrix entries are plain Python integers, so there is no overflow bound.
+Elements are tuples of plain Python integers, so there is no overflow
+bound: (a, b, c, d) is [[a,b],[c,d]] and (a, b) is [[a,b],[0,1]].
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from typing import Iterable, NamedTuple, Union
 
@@ -32,69 +34,9 @@ SL2Z_RADIUS_LIMIT = 12
 AFFINE_RADIUS_LIMIT = 1000
 
 
-class Mat2Z:
-    """2x2 integer matrix; SL2(Z) elements have determinant 1."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-
-    def __eq__(self, other):
-        if type(other) is not Mat2Z:
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __mul__(self, other: "Mat2Z") -> "Mat2Z":
-        return Mat2Z(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-
-class AffElem:
-    """Element (a, b) of the affine group, i.e. the matrix [[a,b],[0,1]]."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        if a not in (1, -1):
-            raise InvalidParameterError("a must be +1 or -1")
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other):
-        if type(other) is not AffElem:
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __mul__(self, other: "AffElem") -> "AffElem":
-        return AffElem(self.a * other.a, self.a * other.b + self.b)
-
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-
 class BallVertex(NamedTuple):
     class_id: int
-    elements: tuple  # member keys, sorted; the first is the canonical key
+    elements: tuple  # the coset's members, sorted; the first is the canonical key
     interior: bool
     distance: int
 
@@ -139,113 +81,122 @@ class BallGraph:
         )
 
 
-def _cyclic_subgroup(gen, identity):
+def _mat_mul(x: tuple, y: tuple) -> tuple:
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _aff_mul(x: tuple, y: tuple) -> tuple:
+    (a, b), (c, d) = x, y
+    return (a * c, a * d + b)
+
+
+def _cyclic_subgroup(gen, identity, mul):
     powers = [identity]
     acc = gen
     while acc != identity:
         powers.append(acc)
-        acc = acc * gen
+        acc = mul(acc, gen)
     return powers
 
 
-def _grow_ball(radius: int, identity, generators, kind: str) -> BallGraph:
-    """Generic coset-ball BFS for a two-generator group.
+def _grow_ball(radius: int, identity, generators, mul, kind: str) -> BallGraph:
+    """Generic coset-ball BFS for a two-generator group with product ``mul``.
 
     A class-c coset through element g is {h * g : h in <s_c>}; neighbors of a
     coset are the opposite-class cosets through each of its members, with
     multiplicity the size of the member overlap.
     """
-    subgroups = [_cyclic_subgroup(gen, identity) for gen in generators]
+    subgroups = [_cyclic_subgroup(gen, identity, mul) for gen in generators]
 
-    def coset(class_id: int, through) -> tuple[tuple, tuple]:
-        """The members of a class-c coset sorted by key, and their keys."""
-        # keys are distinct, so the elements themselves are never compared
-        pairs = sorted((e.key(), e) for e in (h * through for h in subgroups[class_id]))
-        return tuple(e for _, e in pairs), tuple(key for key, _ in pairs)
+    def coset(class_id: int, through) -> tuple:
+        """The members of the class-c coset through an element, sorted."""
+        return tuple(sorted(mul(h, through) for h in subgroups[class_id]))
 
-    # per class, member key -> vertex id, for every member of every vertex
+    # per class, member -> vertex id, for every member of every vertex
     owner: tuple[dict, dict] = ({}, {})
-    vertices: list[tuple[int, tuple, int]] = []  # (class, member keys, dist)
-    queue = deque()  # (vertex id, members) of each vertex not yet expanded
+    vertices: list[tuple[int, tuple, int]] = []  # (class, members, dist)
+    queue = deque()  # ids of the vertices not yet expanded
 
-    def add(class_id: int, members: tuple, keys: tuple, dist: int) -> int:
+    def add(class_id: int, members: tuple, dist: int) -> int:
         vid = len(vertices)
-        owner[class_id].update(dict.fromkeys(keys, vid))
-        vertices.append((class_id, keys, dist))
-        queue.append((vid, members))
+        owner[class_id].update(dict.fromkeys(members, vid))
+        vertices.append((class_id, members, dist))
+        queue.append(vid)
         return vid
 
     for class_id in (0, 1):
-        add(class_id, *coset(class_id, identity), 0)
+        add(class_id, coset(class_id, identity), 0)
 
     edges: dict[tuple[int, int], int] = {}
     while queue:
-        vid, members = queue.popleft()
-        class_id, keys, dist = vertices[vid]
+        vid = queue.popleft()
+        class_id, members, dist = vertices[vid]
         other = 1 - class_id
         # Each member lies in one coset of the other class.  One already in
         # the ball is found through its owner; a new one is computed once and
-        # named by its first key (distinct cosets are disjoint).
+        # keyed by its members, which no other coset shares.
         known: dict[int, int] = {}
-        fresh: dict[tuple, tuple[tuple, tuple]] = {}
-        fresh_mult: dict[tuple, int] = {}
-        first_key: dict[tuple, tuple] = {}  # member key -> its fresh coset's first key
-        for elem, member in zip(members, keys):
+        fresh: dict[tuple, int] = {}  # new coset -> multiplicity
+        fresh_of: dict[tuple, tuple] = {}  # member -> its new coset
+        for member in members:
             nid = owner[other].get(member)
             if nid is not None:
                 known[nid] = known.get(nid, 0) + 1
                 continue
-            key = first_key.get(member)
-            if key is None:
-                fresh_coset = coset(other, elem)
-                key = fresh_coset[1][0]
-                fresh[key] = fresh_coset
-                first_key.update(dict.fromkeys(fresh_coset[1], key))
-            fresh_mult[key] = fresh_mult.get(key, 0) + 1
-        if dist + 1 <= radius:
-            for key in sorted(fresh):
-                known[add(other, *fresh[key], dist + 1)] = fresh_mult[key]
+            new = fresh_of.get(member)
+            if new is None:
+                new = coset(other, member)
+                fresh_of.update(dict.fromkeys(new, new))
+            fresh[new] = fresh.get(new, 0) + 1
+        if dist < radius:
+            # disjoint cosets sort by their first members
+            for new in sorted(fresh):
+                known[add(other, new, dist + 1)] = fresh[new]
         for nid, mult in known.items():
-            a, b = (vid, nid) if vid < nid else (nid, vid)
-            edges[(a, b)] = mult
+            edges[(vid, nid) if vid < nid else (nid, vid)] = mult
 
-    out_vertices = [
-        BallVertex(class_id=class_id, elements=keys, interior=dist < radius, distance=dist)
-        for class_id, keys, dist in vertices
-    ]
+    out_vertices = [BallVertex(class_id, members, dist < radius, dist)
+                    for class_id, members, dist in vertices]
     edge_list = sorted((u, v, m) for (u, v), m in edges.items())
     return BallGraph(radius, out_vertices, edge_list, kind=kind)
 
 
+def _check_radius(radius, limit: int) -> None:
+    if isinstance(radius, bool) or not isinstance(radius, int):
+        raise InvalidParameterError(f"radius must be an int, not {radius!r}")
+    if not 0 <= radius <= limit:
+        raise SizeLimitError(f"radius must be in [0, {limit}]")
+
+
 def sl2z_ball(radius: int) -> BallGraph:
     """Ball of the SL2(Z) coset graph for generators of order 4 and 6."""
-    if not 0 <= radius <= SL2Z_RADIUS_LIMIT:
-        raise SizeLimitError(f"radius must be in [0, {SL2Z_RADIUS_LIMIT}]")
-    identity = Mat2Z(1, 0, 0, 1)
-    s1 = Mat2Z(0, -1, 1, 0)
-    x = Mat2Z(0, -1, 1, 1)
-    return _grow_ball(radius, identity, (s1, x), kind="sl2z")
+    _check_radius(radius, SL2Z_RADIUS_LIMIT)
+    s1, x = (0, -1, 1, 0), (0, -1, 1, 1)
+    return _grow_ball(radius, (1, 0, 0, 1), (s1, x), _mat_mul, kind="sl2z")
 
 
 def affine_ball(radius: int) -> BallGraph:
     """Ball of the affine-group coset graph for the two order-2 generators."""
-    if not 0 <= radius <= AFFINE_RADIUS_LIMIT:
-        raise SizeLimitError(f"radius must be in [0, {AFFINE_RADIUS_LIMIT}]")
-    identity = AffElem(1, 0)
-    s0 = AffElem(-1, 0)
-    s2 = AffElem(-1, -1)
-    return _grow_ball(radius, identity, (s0, s2), kind="affine")
+    _check_radius(radius, AFFINE_RADIUS_LIMIT)
+    s0, s2 = (-1, 0), (-1, -1)
+    return _grow_ball(radius, (1, 0), (s0, s2), _aff_mul, kind="affine")
 
 
 def is_locally_finite(gen_orders: Iterable[Union[int, float]]) -> bool:
     """True iff every generator order is finite.
 
-    Orders are positive integers or INFINITE (math.inf); an empty sequence is
-    vacuously locally finite.
+    Orders are positive integers of any integer type (a group's ``orders``
+    array included, bools excluded) or INFINITE (math.inf); an empty sequence
+    is vacuously locally finite.
     """
     for o in gen_orders:
         if o == INFINITE:
             return False
-        if not (isinstance(o, int) and o >= 1):
+        try:
+            valid = not isinstance(o, bool) and operator.index(o) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
             raise InvalidParameterError(f"not an order: {o!r}")
     return True

@@ -4,38 +4,38 @@ import pytest
 
 from ggraphs import (
     INFINITE,
-    AffElem,
     InvalidParameterError,
-    Mat2Z,
     SizeLimitError,
     affine_ball,
     is_locally_finite,
+    make_symmetric,
     sl2z_ball,
 )
+from ggraphs.infinite import _aff_mul, _cyclic_subgroup, _mat_mul
 from ggraphs.io import document_from_ball, dumps
 
 
-def test_mat2z_product_and_det():
-    s1 = Mat2Z(0, -1, 1, 0)
-    x = Mat2Z(0, -1, 1, 1)
-    assert (s1 * x).det() == 1
-    # orders of the fixed generators
-    acc, identity = s1, Mat2Z(1, 0, 0, 1)
-    count = 1
-    while acc != identity:
-        acc = acc * s1
-        count += 1
-    assert count == 4
-    acc, count = x, 1
-    while acc != identity:
-        acc = acc * x
-        count += 1
-    assert count == 6
+def test_products_and_generator_orders():
+    s1, x, identity = (0, -1, 1, 0), (0, -1, 1, 1), (1, 0, 0, 1)
+    a, b, c, d = _mat_mul(s1, x)
+    assert a * d - b * c == 1
+    assert _mat_mul(s1, s1) == (-1, 0, 0, -1)
+    assert [len(_cyclic_subgroup(g, identity, _mat_mul)) for g in (s1, x)] == [4, 6]
+    s0, s2 = (-1, 0), (-1, -1)
+    assert _aff_mul(s0, s2) == (1, 1)  # the translation b -> b + 1
+    assert [len(_cyclic_subgroup(g, (1, 0), _aff_mul)) for g in (s0, s2)] == [2, 2]
 
 
-def test_affelem_validates_sign():
-    with pytest.raises(InvalidParameterError):
-        AffElem(2, 0)
+@pytest.mark.parametrize(
+    "maker, radius",
+    [(sl2z_ball, 1.5), (sl2z_ball, 2.0), (sl2z_ball, False), (affine_ball, True),
+     (affine_ball, "3"), (affine_ball, None)],
+)
+def test_ball_radius_must_be_an_int(maker, radius):
+    # a float radius would mark vertices at distance 1 interior with a partial
+    # neighbourhood, and a bool would pass for 0 or 1
+    with pytest.raises(InvalidParameterError, match="radius must be an int"):
+        maker(radius)
 
 
 def test_sl2z_radius0():
@@ -143,8 +143,11 @@ def test_is_locally_finite():
     assert is_locally_finite([4, 6]) is True
     assert is_locally_finite([4, INFINITE]) is False
     assert is_locally_finite([]) is True
-    with pytest.raises(InvalidParameterError):
-        is_locally_finite([0])
+    # a group's own orders are numpy integers
+    assert is_locally_finite(make_symmetric(3).orders) is True
+    for bad in ([0], [True, 2], [2.0], [make_symmetric(3).orders[0] - 1], ["4"]):
+        with pytest.raises(InvalidParameterError, match="not an order"):
+            is_locally_finite(bad)
 
 
 # sha256 of dumps(document_from_ball(ball)): vertex numbering, edges and
