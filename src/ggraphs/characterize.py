@@ -37,8 +37,7 @@ graph within a catalog of standard families.
 from __future__ import annotations
 
 import math
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from functools import partial
 from itertools import product as _cartesian
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -483,77 +482,76 @@ def turan_verdict(n: int, r: int) -> CharacterizationVerdict:
 
 
 def witness_search(
-    verdict: CharacterizationVerdict,
-    target,
-    *,
-    all_matches: bool = False,
-    max_sequences: int = 10**6,
-):
+    verdict: CharacterizationVerdict, target, *, max_sequences: int = 10**6
+) -> Optional[tuple[GroupTable, GenSequence]]:
     """Best-effort explicit (group, generators) pair realizing the target.
 
     Scans a catalog of standard families of the accepted group order, and in
     each group every tuple of conjugacy-class representatives whose orders
     match the accepted orders, in order.  Each tuple spends one unit of
-    ``max_sequences``; when they run out the result is the empty one.  A
-    coset graph depends on each generator only through its cyclic subgroup,
-    so a tuple whose multiset of subgroups was already tried in the group is
-    skipped, and so is one whose graph's edge-multiplicity or distinct-degree
+    ``max_sequences``; when they run out the result is None.  A coset graph
+    depends on each generator only through its cyclic subgroup, so a tuple
+    whose multiset of subgroups was already tried in the group is skipped,
+    and so is one whose graph's edge-multiplicity or distinct-degree
     histogram, read off the subgroups' intersections, differs from the
-    target's.  Only the rest are closed, built and canonicalized.  An empty
-    result means the catalog is exhausted, not that the verdict is wrong; no
-    catalog group is larger than CLOSURE_LIMIT.
+    target's.  Only the rest are closed, built and canonicalized.  None means
+    the catalog is exhausted, not that the verdict is wrong; no catalog group
+    is larger than CLOSURE_LIMIT.  A verdict whose orders are not positive
+    integers gets None too.
     """
+    return next(_witnesses(verdict, target, max_sequences), None)
+
+
+def _witnesses(
+    verdict: CharacterizationVerdict, target, max_sequences: int
+) -> Iterator[tuple[GroupTable, GenSequence]]:
+    """The first witness in each catalog group, in catalog order, while the
+    ``max_sequences`` tuples last; ``witness_search`` takes the first."""
     from .groups import CLOSURE_LIMIT, make_gen_sequence
 
-    if verdict.status != ACCEPT or not verdict.group_order or not verdict.gen_orders:
-        return [] if all_matches else None
+    n_order, orders = verdict.group_order, verdict.gen_orders or ()
+    valid = orders and all(type(o) is int and o >= 1 for o in (n_order, *orders))
+    if verdict.status != ACCEPT or not valid:
+        return
     tgt = as_multigraph(target)
     if tgt.n > SIZE_BOUND:
         raise TooLargeError(f"target exceeds {SIZE_BOUND} vertices")
-    n_order = verdict.group_order
-    wanted = tuple(sorted(verdict.gen_orders))
+    wanted = tuple(sorted(orders))
     k = len(wanted)
-    expected_vertices = sum(n_order // o for o in wanted if n_order % o == 0)
-    expected_mult = k * (k - 1) // 2 * n_order
     if n_order > CLOSURE_LIMIT or any(n_order % o for o in wanted):
-        return [] if all_matches else None
-    if expected_vertices != tgt.n or expected_mult != tgt.edge_multiplicity_total():
-        return [] if all_matches else None
+        return
+    if sum(n_order // o for o in wanted) != tgt.n:
+        return
+    if k * (k - 1) // 2 * n_order != tgt.edge_multiplicity_total():
+        return
 
     # every candidate has the target's vertex count and edge total, so the
     # canonical forms alone decide isomorphism
     target_form = canonical_form(tgt).edges
     target_shape = (Counter(tgt.edges.values()), Counter(map(len, tgt.adjacency())))
-    hits: list[tuple[GroupTable, GenSequence]] = []
     budget = max_sequences
     for entry in _catalog_groups(n_order):
         pools = [entry.pool(o) for o in wanted]
         if not all(pools):
             continue
-        group, subgroup, masks = entry.group, entry.subgroup, entry.masks
         tried: set[tuple[int, ...]] = set()
         for combo in _cartesian(*pools):
             budget -= 1
             if budget < 0:
-                return hits if all_matches else None
-            key = tuple(sorted([subgroup[x] for x in combo]))
+                return
+            key = tuple(sorted(mask for _, mask in combo))
             if key in tried:
                 continue
             tried.add(key)
-            if _shape(n_order, [masks[i] for i in key]) != target_shape:
+            if _shape(n_order, key) != target_shape:
                 continue
             try:
-                seq = make_gen_sequence(group, combo)
+                seq = make_gen_sequence(entry.group, [x for x, _ in combo])
             except NotAGeneratingSetError:
                 continue
-            gg = build_ggraph(group, seq)
-            if canonical_form(gg).edges == target_form:
-                hit = (group, seq)
-                if not all_matches:
-                    return hit
-                hits.append(hit)
+            if canonical_form(build_ggraph(entry.group, seq)).edges == target_form:
+                yield entry.group, seq
                 break  # one witness per catalog group is enough
-    return hits if all_matches else None
 
 
 def _shape(order: int, masks: Sequence[int]) -> tuple[Counter, Counter]:
@@ -580,78 +578,65 @@ def _shape(order: int, masks: Sequence[int]) -> tuple[Counter, Counter]:
     return edges, degrees
 
 
-# The catalog memo keeps the most recently used entries up to this many
-# table cells, the group order squared summed over entries (4 MiB of int32
-# tables).  A larger entry is built, used and dropped.
-CATALOG_MEMO_CELLS = 1 << 20
-_catalog_memo: OrderedDict[tuple[int, int], _CatalogEntry] = OrderedDict()
-_catalog_lock = threading.Lock()
+# Catalog groups up to this order are kept for the life of the process: the
+# 271 of them hold 982,651 table cells together, under 4 MiB of int32 tables.
+# A larger group is built for the call and dropped.
+CATALOG_MEMO_ORDER = 100
+_catalog_memo: dict[tuple[int, int], _CatalogEntry] = {}
 
 
 class _CatalogEntry:
     """A catalog group and what ``witness_search`` reads of it.
 
-    ``pool(o)`` lists the conjugacy-class representatives of order o, in
-    class order; its first call for o also gives each of them its cyclic
-    subgroup <x>: ``masks`` holds each distinct one as an int, bit y set for
-    each member y, and ``subgroup[x]`` is the index of <x> in ``masks``.
+    ``pool(o)`` lists a ``(x, mask)`` pair per conjugacy class of order o, in
+    class order: the representative x and its cyclic subgroup <x> as an int,
+    bit y set for each member y.  Two threads that fill one pool at once
+    store equal lists, so no lock is needed.
     """
 
-    __slots__ = ("group", "subgroup", "masks", "_pools")
+    __slots__ = ("group", "_pools")
 
     def __init__(self, group: GroupTable):
         self.group = group
-        self.subgroup: dict[int, int] = {}
-        self.masks: list[int] = []
-        self._pools: dict[int, list[int]] = {}
+        self._pools: dict[int, list[tuple[int, int]]] = {}
 
-    def pool(self, o: int) -> list[int]:
-        with _catalog_lock:
-            reps = self._pools.get(o)
-            if reps is None:
-                reps = self._pools[o] = self._fill(o)
-        return reps
+    def pool(self, o: int) -> list[tuple[int, int]]:
+        pairs = self._pools.get(o)
+        if pairs is None:
+            pairs = self._pools[o] = _fill(self.group, o)
+        return pairs
 
-    def _fill(self, o: int) -> list[int]:
-        import numpy as np
 
-        from .groups import conjugacy_classes, subgroup_closure
+def _fill(group: GroupTable, o: int) -> list[tuple[int, int]]:
+    """The pairs of ``_CatalogEntry.pool(o)``, from the group and o alone."""
+    from .groups import conjugacy_classes, subgroup_closure
 
-        orders = self.group.orders
-        of_order = (orders == o).nonzero()[0].tolist()
-        reps = [cls[0] for cls in conjugacy_classes(self.group, of_order)]
-        # owner[y]: the subgroup already found that y of order o generates
-        owner: dict[int, int] = {}
-        for x in reps:
-            if x not in owner:
-                members = np.array(subgroup_closure(self.group, [x]))
-                for y in members[orders[members] == o].tolist():
-                    owner[y] = len(self.masks)
-                self.masks.append(sum(1 << y for y in members.tolist()))
-            self.subgroup[x] = owner[x]
-        return reps
+    of_order = (group.orders == o).nonzero()[0].tolist()
+    # mask_of[y]: a subgroup already found that holds y; an element of order
+    # o generates the one it is in
+    mask_of: dict[int, int] = {}
+    pairs = []
+    for cls in conjugacy_classes(group, of_order):
+        x = cls[0]
+        if x not in mask_of:
+            members = subgroup_closure(group, [x])
+            mask_of.update(dict.fromkeys(members, sum(1 << y for y in members)))
+        pairs.append((x, mask_of[x]))
+    return pairs
 
 
 def _catalog_groups(n: int) -> Iterator[_CatalogEntry]:
     """The catalog entries of order n, in catalog order, each built when reached.
 
-    Entries come from the memo when it holds them, and join it when built.
+    Entries come from the memo when it holds them; two threads that build one
+    entry at once store equal entries.
     """
     for index, make in enumerate(_catalog_makers(n)):
-        key = (n, index)
-        with _catalog_lock:
-            entry = _catalog_memo.get(key)
-            if entry is not None:
-                _catalog_memo.move_to_end(key)
+        entry = _catalog_memo.get((n, index))
         if entry is None:
             entry = _CatalogEntry(make())
-            if n * n <= CATALOG_MEMO_CELLS:
-                with _catalog_lock:
-                    _catalog_memo[key] = entry
-                    cells = sum(order * order for order, _ in _catalog_memo)
-                    while cells > CATALOG_MEMO_CELLS:
-                        (order, _), _ = _catalog_memo.popitem(last=False)
-                        cells -= order * order
+            if n <= CATALOG_MEMO_ORDER:
+                _catalog_memo[n, index] = entry
         yield entry
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -580,8 +581,19 @@ def _chain_table(rule: Callable, sorted_at: np.ndarray, lengths: Sequence[int]) 
     return table
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: any integer type (numpy's too), bools excluded."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{what} must be an integer, not {value!r}")
+
+
 def make_cyclic(n: int) -> GroupTable:
     """Z_n under addition mod n; element i is labelled str(i)."""
+    n = _integer(n, "cyclic group order")
     if n < 1:
         raise InvalidParameterError("cyclic group order must be >= 1")
     if n > CLOSURE_LIMIT:
@@ -629,6 +641,7 @@ def make_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
 
 def make_symmetric(n: int) -> GroupTable:
     """S_n on {1..n} with cycle-notation labels; bounded at n <= 8."""
+    n = _integer(n, "symmetric group degree")
     if not 1 <= n <= 8:
         raise SizeLimitError("symmetric group supported for 1 <= n <= 8")
     # (1 2) and (1 2 ... n)
@@ -640,6 +653,7 @@ def make_symmetric(n: int) -> GroupTable:
 
 def make_alternating(n: int) -> GroupTable:
     """A_n, the even permutations of {1..n}; bounded at n <= 8."""
+    n = _integer(n, "alternating group degree")
     if not 1 <= n <= 8:
         raise SizeLimitError("alternating group supported for 1 <= n <= 8")
     # the 3-cycles (1 2 i) for 3 <= i <= n
@@ -689,6 +703,7 @@ def make_dihedral(n: int) -> GroupTable:
     reflection ``t`` = r*s, labelled ``rs``, used by the two-reflection
     generating set.
     """
+    n = _integer(n, "dihedral parameter")
     if n < 2:
         raise InvalidParameterError("dihedral parameter must be >= 2")
     return _normal_form_group(n, -1, 0, f"D{2 * n}", {"r": 1, "s": n, "t": n + 1})
@@ -696,6 +711,7 @@ def make_dihedral(n: int) -> GroupTable:
 
 def make_generalized_quaternion(n: int) -> GroupTable:
     """Order-4n group <a, b | a^2n = e, b^2 = a^n, a b = b a^(2n-1)>."""
+    n = _integer(n, "generalized quaternion parameter")
     if n < 2:
         raise InvalidParameterError("generalized quaternion parameter must be >= 2")
     return _normal_form_group(2 * n, -1, n, f"Q{4 * n}", {"a": 1, "b": 2 * n})
@@ -703,6 +719,7 @@ def make_generalized_quaternion(n: int) -> GroupTable:
 
 def make_semidihedral(k: int) -> GroupTable:
     """Order-8k group <a, b | a^4k = b^2 = e, b a = a^(2k-1) b>."""
+    k = _integer(k, "semidihedral parameter")
     if k < 1:
         raise InvalidParameterError("semidihedral parameter must be >= 1")
     return _normal_form_group(4 * k, 2 * k - 1, 0, f"SD{8 * k}", {"a": 1, "b": 4 * k})
@@ -756,7 +773,7 @@ def make_gen_sequence(g: GroupTable, elements: Sequence[int]) -> GenSequence:
     Raises NotAGeneratingSetError when the closure of the elements and their
     inverses is a proper subgroup.
     """
-    positions = tuple(int(x) for x in elements)
+    positions = tuple(_integer(x, "element index") for x in elements)
     if len(positions) < 1:
         raise InvalidParameterError("generating sequence must be non-empty")
     if len(subgroup_closure(g, positions)) != g.order:

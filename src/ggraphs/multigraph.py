@@ -35,7 +35,8 @@ class Multigraph:
     ``classes`` optionally records a vertex partition (used when the graph
     came from a coset construction or an annotated edge list), refused by
     ``check_partition`` unless it covers every vertex exactly once.  ``edges``
-    are ``(u, v, m)`` triples, added through add_edge.  ``n`` is bounded at
+    are ``(u, v, m)`` triples, added through add_edge.  ``n``, the ids and
+    the multiplicities are ints (bools are refused), and ``n`` is bounded at
     VERTEX_LIMIT, so no input can size a graph past it.
     """
 
@@ -45,8 +46,8 @@ class Multigraph:
         classes: Optional[list[list[int]]] = None,
         edges: Iterable[tuple[int, int, int]] = (),
     ):
-        if n < 0:
-            raise InvalidParameterError("vertex count must be >= 0")
+        if type(n) is not int or n < 0:
+            raise InvalidParameterError(f"vertex count must be an int >= 0, not {n!r}")
         if n > VERTEX_LIMIT:
             raise SizeLimitError(f"vertex count {n} exceeds {VERTEX_LIMIT}")
         if classes is not None:
@@ -58,6 +59,8 @@ class Multigraph:
             self.add_edge(u, v, m)
 
     def add_edge(self, u: int, v: int, mult: int = 1) -> None:
+        if not (type(u) is int and type(v) is int and type(mult) is int):
+            raise InvalidParameterError(f"edge {(u, v, mult)!r}: ids and multiplicity must be ints")
         if u == v:
             raise InvalidParameterError("loops are not supported")
         if not (0 <= u < self.n and 0 <= v < self.n):

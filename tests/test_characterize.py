@@ -725,9 +725,11 @@ def test_witness_octahedron():
 
 
 def test_witness_k28_includes_semidihedral():
+    from ggraphs.characterize import _witnesses
+
     target = complete_bipartite(2, 8)
     verdict = characterize(target)
-    hits = witness_search(verdict, target, all_matches=True)
+    hits = list(_witnesses(verdict, target, 10**6))
     tags = {group.family_tag for group, _ in hits}
     assert "SD16" in tags
     for group, seq in hits:
@@ -751,11 +753,24 @@ def test_witness_none_for_refusals():
 def test_witness_none_past_the_catalog_order_bound():
     # K_{2,2} with every edge 2501-fold: ACCEPT with |G| = 10004, above
     # CLOSURE_LIMIT, so no catalog group can be built
+    from ggraphs.characterize import _witnesses
+
     target = complete_bipartite(2, 2, mult=2501)
     verdict = characterize(target)
     assert verdict.status == ACCEPT and verdict.group_order == 10004
     assert witness_search(verdict, target) is None
-    assert witness_search(verdict, target, all_matches=True) == []
+    assert list(_witnesses(verdict, target, 10**6)) == []
+
+
+@pytest.mark.parametrize(
+    "group_order, gen_orders", [(6, (0, 3)), (6.0, (3, 2))], ids=["zero-order", "float-order"]
+)
+def test_witness_none_for_malformed_verdicts(group_order, gen_orders):
+    # an order that is zero or not an int would divide by zero or reach a
+    # group constructor; like a negative order, it gets no witness
+    target = complete_bipartite(2, 3)
+    verdict = CharacterizationVerdict(ACCEPT, 2, (2, 3), (3, 2), group_order, gen_orders)
+    assert witness_search(verdict, target) is None
 
 
 def test_catalog_builds_each_abelian_group_once():
@@ -826,8 +841,10 @@ def test_catalog_keeps_every_family_member_up_to_isomorphism():
 
 def test_witness_k2_12_includes_semidihedral():
     # SD24 = Z4 x S3 is no other catalog entry of order 24
+    from ggraphs.characterize import _witnesses
+
     target = complete_bipartite(2, 12)
-    hits = witness_search(characterize(target), target, all_matches=True)
+    hits = list(_witnesses(characterize(target), target, 10**6))
     assert "SD24" in {group.family_tag for group, _ in hits}
 
 
@@ -904,18 +921,20 @@ def _witness_key(result):
 
 
 def _assert_witness_matches_reference(verdict, target):
+    from ggraphs.characterize import _witnesses
+
     first = _witness_key(witness_search(verdict, target))
     assert first == _witness_key(_reference_witness_search(verdict, target))
     # a warm memo gives the same answer
     assert _witness_key(witness_search(verdict, target)) == first
-    for all_matches in (False, True):
-        for budget in (None, 1, 5, 50):
-            kwargs = {"all_matches": all_matches}
-            if budget is not None:
-                kwargs["max_sequences"] = budget
-            assert _witness_key(witness_search(verdict, target, **kwargs)) == _witness_key(
-                _reference_witness_search(verdict, target, **kwargs)
-            ), kwargs
+    for budget in (None, 1, 5, 50):
+        kwargs = {} if budget is None else {"max_sequences": budget}
+        assert _witness_key(witness_search(verdict, target, **kwargs)) == _witness_key(
+            _reference_witness_search(verdict, target, **kwargs)
+        ), kwargs
+        assert _witness_key(list(_witnesses(verdict, target, budget or 10**6))) == _witness_key(
+            _reference_witness_search(verdict, target, all_matches=True, **kwargs)
+        ), kwargs
 
 
 WITNESS_CATALOG = [name for name in cat.CATALOG_NAMES if cat.ggraph_of(name).vertex_count <= 64]
@@ -1015,43 +1034,52 @@ def test_witness_on_z10000_exhausts_its_budget_quickly():
     assert list(_catalog_memo) == kept
 
 
-def test_catalog_memo_stays_within_its_cell_bound():
-    # K2 with one 720-fold edge: |G| = 720 and orders (720, 720); all_matches
-    # scans all 14 catalog groups of order 720, two of which fill the memo
-    from ggraphs.characterize import CATALOG_MEMO_CELLS, _catalog_memo, _catalog_makers
+def test_catalog_memo_order_bound_keeps_it_within_4_mib():
+    # every catalog group the memo can hold, kept at once, holds at most
+    # 2^20 table cells (4 MiB of int32 tables)
+    from ggraphs.characterize import CATALOG_MEMO_ORDER, _catalog_makers
 
+    cells = sum(
+        n * n * len(list(_catalog_makers(n))) for n in range(1, CATALOG_MEMO_ORDER + 1)
+    )
+    assert cells <= 1 << 20
+
+
+def test_catalog_memo_keeps_no_group_past_its_order_bound():
+    # K2 with one 720-fold edge: |G| = 720 and orders (720, 720); the scan
+    # builds all 14 catalog groups of order 720 and keeps none of them
+    from ggraphs.characterize import _catalog_memo, _witnesses
+
+    small = complete_bipartite(3, 3)
+    witness_search(characterize(small), small)
+    kept = dict(_catalog_memo)
     target = complete_bipartite(1, 1, mult=720)
     verdict = characterize(target)
     assert verdict.group_order == 720
-    hits = witness_search(verdict, target, all_matches=True)
+    hits = list(_witnesses(verdict, target, 10**6))
     assert [group.family_tag for group, _ in hits] == ["Z720"]
-    assert CATALOG_MEMO_CELLS == 1 << 20
-    assert 0 < sum(order * order for order, _ in _catalog_memo) <= CATALOG_MEMO_CELLS
-    # the entries kept are the ones used last
-    assert list(_catalog_memo)[-1] == (720, len(list(_catalog_makers(720))) - 1)
+    assert _catalog_memo == kept
 
 
 def test_catalog_memo_filled_from_threads():
     # more threads than cores fill one cold memo at once; every call gives
-    # the sequential answer, and no subgroup is stored twice, as it would be
-    # if two threads filled one pool together
+    # the sequential answer, and every pool kept is the one a sequential
+    # fill computes
     import sys
     import threading
 
-    from ggraphs.characterize import _catalog_memo
+    from ggraphs.characterize import _catalog_memo, _fill, _witnesses
 
     targets = [
         complete_bipartite(2, 8), complete_bipartite(3, 3), octahedron_graph(),
         cube_graph(), rhombic_dodecahedron_graph(),
     ]
     jobs = [(characterize(t), t) for t in targets]
-    expected = [_witness_key(witness_search(v, t, all_matches=True)) for v, t in jobs]
+    expected = [_witness_key(list(_witnesses(v, t, 10**6))) for v, t in jobs]
     results = {}
 
     def work(worker):
-        results[worker] = [
-            _witness_key(witness_search(v, t, all_matches=True)) for v, t in jobs
-        ]
+        results[worker] = [_witness_key(list(_witnesses(v, t, 10**6))) for v, t in jobs]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1066,6 +1094,7 @@ def test_catalog_memo_filled_from_threads():
             assert not any(thread.is_alive() for thread in threads)
             assert results == {i: expected for i in range(6)}
             for entry in _catalog_memo.values():
-                assert len(set(entry.masks)) == len(entry.masks)
+                for o in entry._pools:
+                    assert entry.pool(o) == _fill(entry.group, o)
     finally:
         sys.setswitchinterval(switch)

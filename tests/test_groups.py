@@ -13,6 +13,7 @@ from ggraphs import (
     InvalidParameterError,
     NotAGeneratingSetError,
     SizeLimitError,
+    build_ggraph,
     closure_from_permutations,
     element_order,
     make_alternating,
@@ -258,6 +259,34 @@ def test_element_indices_are_range_checked(x):
             call(s3, x)
     with pytest.raises(InvalidParameterError, match=f"element index {x} out of range"):
         make_gen_sequence(s3, [1, x])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_cyclic(2.5),
+        lambda: make_cyclic(True),
+        lambda: make_symmetric(3.0),
+        lambda: make_alternating(4.0),
+        lambda: make_dihedral(3.0),
+        lambda: make_generalized_quaternion(2.0),
+        lambda: make_semidihedral(1.0),
+        lambda: make_gen_sequence(make_symmetric(3), [1.7, 2]),
+        lambda: make_gen_sequence(make_symmetric(3), [True, 2]),
+        lambda: build_ggraph(make_cyclic(3), [1.9]),
+    ],
+    ids=[
+        "cyclic-float", "cyclic-bool", "symmetric", "alternating", "dihedral",
+        "quaternion", "semidihedral", "index-float", "index-bool", "build-float",
+    ],
+)
+def test_group_parameters_and_element_indices_must_be_integers(call):
+    # int() truncated 1.7 to element 1, S3.0 was built, and the rest raised
+    # a bare TypeError; numpy integers are still accepted
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call()
+    assert make_cyclic(np.int64(3)).family_tag == "Z3"
+    assert make_gen_sequence(make_cyclic(3), [np.uint8(1)]).positions == (1,)
 
 
 def test_element_orders_divide_group_order():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fixture_catalog as cat
-from ggraphs import InvalidPartitionError, TooLargeError, canonical_form
+from ggraphs import InvalidParameterError, InvalidPartitionError, TooLargeError, canonical_form
 from ggraphs.analysis import analyze
 from ggraphs.io import read_edge_list
 from ggraphs.multigraph import Multigraph, cycle_graph, path_graph
@@ -55,6 +55,18 @@ def test_stored_partition_must_cover_every_vertex_once(classes, message):
     # stored partition, so a graph is never built with a malformed one
     with pytest.raises(InvalidPartitionError, match=message):
         Multigraph(3, classes, [(0, 2, 1)])
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(2, [(0, 1, 2.5)]), (3.0, []), (2, [(False, True, 1)]), (2, [(0, 1, True)])],
+    ids=["float-multiplicity", "float-vertex-count", "bool-ids", "bool-multiplicity"],
+)
+def test_multigraph_holds_only_ints(n, edges):
+    # a 2.5-fold edge gave analyze degrees (2.5, 2.5) and a document that
+    # loads refuses
+    with pytest.raises(InvalidParameterError, match="int"):
+        Multigraph(n, None, edges)
 
 
 def test_odd_cycle_in_second_component_is_not_bipartite():
