@@ -44,6 +44,8 @@ _ASSOC_EXHAUSTIVE_LIMIT = 64
 _ASSOC_SAMPLES = 100_000
 _CHUNK = 10_000
 _BLOCK_ROWS = 32
+# most images a permutation group's labels read from one list at a time
+_LABEL_BLOCK = 1 << 16
 
 
 class GroupTable:
@@ -257,29 +259,36 @@ class Coset(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def cycle_notation(p: tuple[int, ...]) -> str:
+def cycle_notation(p: Sequence[int], names: Optional[Sequence[str]] = None) -> str:
     """Format as 1-based disjoint cycles, fixed points omitted; identity is 'e'.
 
     Points are written with no separator, ``(123)``, unless some moved point
     is 10 or more; then a space separates every two points, ``(1 2)(9 10)``,
     so the label reads back through ``parse_cycles`` and two permutations
-    never share one.
+    never share one.  ``names[x]`` is ``str(x + 1)``; a caller that labels
+    many permutations of one ground set passes it, built once.
     """
-    sep = " " if any(p[i] != i for i in range(9, len(p))) else ""
+    if names is None:
+        names = [str(x + 1) for x in range(len(p))]
     seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
+    cycles = []
+    top = 0  # the largest moved point
+    for i, j in enumerate(p):
+        if j == i or seen[i]:
             continue
-        cyc = []
-        j = i
-        while not seen[j]:
+        # i is the least point of its cycle, so the scan never comes back to it
+        cyc = [names[i]]
+        while j != i:
             seen[j] = True
-            cyc.append(j + 1)
+            cyc.append(names[j])
+            if j > top:
+                top = j
             j = p[j]
-        parts.append("(" + sep.join(str(v) for v in cyc) + ")")
-    return "".join(parts) if parts else "e"
+        cycles.append(cyc)
+    if not cycles:
+        return "e"
+    sep = " " if top >= 9 else ""
+    return "".join(["(" + sep.join(cyc) + ")" for cyc in cycles])
 
 
 def parse_cycles(text: str, n: Optional[int] = None) -> tuple[int, ...]:
@@ -517,8 +526,13 @@ def _permutation_group(
     n = len(perms)
     sorted_at = np.empty(n, dtype=np.intp)
     sorted_at[order] = np.arange(n)
-    # one row at a time: a list of every image would be the peak of a wide group
-    labels = [cycle_notation(p.tolist()) for p in perms]
+    # rows in blocks of at most _LABEL_BLOCK images: a list of every image
+    # would be the peak of a wide group
+    names = [str(x + 1) for x in range(d)]
+    labels = []
+    step = max(1, _LABEL_BLOCK // d)
+    for start in range(0, n, step):
+        labels += [cycle_notation(p, names) for p in perms[start:start + step].tolist()]
 
     tables = []
     undo = identity  # the row W_p of each prefix p, top level first

@@ -7,8 +7,11 @@ The JSON schema (version "1") covers three kinds of graph:
 * ``ball``: a radius-bounded ball; vertices carry an ``interior`` flag.
 
 Vertex ids are dense from 0 and every edge record has u < v.  Serialization
-is canonical: exactly ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
-newline, so equal documents produce identical bytes.
+is canonical: exactly ``json.dumps(doc.to_dict(), sort_keys=True, indent=2)``
+plus a newline, so equal documents produce identical bytes.  In memory a
+document holds its edges as ``(u, v, multiplicity)`` triples, as ``GGraph``
+and ``BallGraph`` do; the record ``{"u", "v", "multiplicity"}`` exists only
+in the JSON text.
 
 Edge-list text format: one ``u v [multiplicity]`` line per edge, 0-based
 vertex ids, ``#`` starts a comment.  Optional ``partition: id id ...`` header
@@ -39,13 +42,16 @@ _DOT_PALETTE = (
 
 
 class GraphDocument:
+    """One graph as the JSON schema describes it; ``edges`` are (u, v, m)
+    triples, and ``to_dict`` renders them as records."""
+
     __slots__ = ("kind", "partitions", "edges", "metadata", "schema_version")
 
     def __init__(
         self,
         kind: str,  # "ggraph" | "plain" | "ball"
         partitions: list[dict],
-        edges: list[dict],
+        edges: list[tuple[int, int, int]],
         metadata: Optional[dict] = None,
         schema_version: str = SCHEMA_VERSION,
     ):
@@ -60,7 +66,7 @@ class GraphDocument:
             "schema_version": self.schema_version,
             "kind": self.kind,
             "partitions": self.partitions,
-            "edges": self.edges,
+            "edges": [{"u": u, "v": v, "multiplicity": m} for u, v, m in self.edges],
             "metadata": self.metadata,
         }
 
@@ -82,15 +88,16 @@ class GraphDocument:
         doc = cls(
             kind=data["kind"],
             partitions=data["partitions"],
-            edges=data["edges"],
+            edges=[],
             metadata=data.get("metadata", {}),
         )
-        doc._validate()
+        doc._load(data["edges"])
         return doc
 
-    def _validate(self) -> None:
-        """Each record is checked once; only a record that fails is looked
-        at again, to name what is wrong with it."""
+    def _load(self, records: list) -> None:
+        """Check the vertex records, then append each edge record's triple.
+        Each record is checked once; only a record that fails is looked at
+        again, to name what is wrong with it."""
         ids = []
         for part in self.partitions:
             if not isinstance(part, dict) or not isinstance(part.get("vertices"), list):
@@ -107,12 +114,15 @@ class GraphDocument:
             raise InvalidInputError("vertex ids must be dense from 0")
         if self._has_classes() and not all(part["vertices"] for part in self.partitions):
             raise InvalidInputError("partition has an empty class")
-        for e in self.edges:
+        append = self.edges.append
+        for e in records:
             if type(e) is dict:
                 u, v, m = e.get("u"), e.get("v"), e.get("multiplicity")
                 if (type(u) is int and type(v) is int and type(m) is int
                         and 0 <= u < v < n and m >= 1):
+                    append((u, v, m))
                     continue
+            # the checks above failed, so one of these raises
             u, v, m = (_int_field(e, key) for key in ("u", "v", "multiplicity"))
             if not (0 <= u < v < n):
                 raise InvalidInputError(f"bad edge record {e}")
@@ -133,14 +143,10 @@ class GraphDocument:
             classes = [
                 [v["id"] for v in part["vertices"]] for part in self.partitions
             ]
-        return Multigraph(
-            self.vertex_count(),
-            classes,
-            ((e["u"], e["v"], e["multiplicity"]) for e in self.edges),
-        )
+        return Multigraph(self.vertex_count(), classes, self.edges)
 
     def total_multiplicity(self) -> int:
-        return sum(e["multiplicity"] for e in self.edges)
+        return sum(m for _, _, m in self.edges)
 
 
 def _int_field(record, key: str) -> int:
@@ -157,11 +163,9 @@ def document_from_ggraph(
     group_spec: Optional[str] = None,
 ) -> GraphDocument:
     """Serialize a coset graph; coset members are rendered through
-    ``element_labels`` (typically the group's labels) when given."""
-
-    def render(elem: int) -> str:
-        return element_labels[elem] if element_labels else str(elem)
-
+    ``element_labels`` (typically the group's labels) when given, and as
+    their indices otherwise.  The edges are the view's own triples."""
+    names = element_labels or [str(e) for e in range(gg.group_order)]
     partitions = []
     for c, cosets in enumerate(gg.partitions):
         vertices = []
@@ -169,7 +173,7 @@ def document_from_ggraph(
             vertices.append(
                 {
                     "id": gg.class_offsets[c] + local,
-                    "coset_labels": [render(e) for e in coset.elements],
+                    "coset_labels": list(map(names.__getitem__, coset.elements)),
                 }
             )
         partitions.append(
@@ -179,11 +183,10 @@ def document_from_ggraph(
                 "vertices": vertices,
             }
         )
-    edges = [{"u": u, "v": v, "multiplicity": m} for u, v, m in gg.edges]
     return GraphDocument(
         kind="ggraph",
         partitions=partitions,
-        edges=edges,
+        edges=list(gg.edges),
         metadata={
             "group_spec": group_spec,
             "generators": list(gg.gen_labels),
@@ -202,10 +205,7 @@ def document_from_multigraph(mg: Multigraph) -> GraphDocument:
         }
         for cls in mg.classes or [range(mg.n)]
     ]
-    edges = [
-        {"u": u, "v": v, "multiplicity": m}
-        for (u, v), m in sorted(mg.edges.items())
-    ]
+    edges = [(u, v, m) for (u, v), m in sorted(mg.edges.items())]
     return GraphDocument(kind="plain", partitions=partitions, edges=edges)
 
 
@@ -225,30 +225,39 @@ def document_from_ball(ball: BallGraph) -> GraphDocument:
         partitions.append(
             {"label": f"class{class_id}", "gen_order": None, "vertices": vertices}
         )
-    edges = [{"u": u, "v": v, "multiplicity": m} for u, v, m in ball.edges]
     return GraphDocument(
         kind="ball",
         partitions=partitions,
-        edges=edges,
+        edges=list(ball.edges),
         metadata={"group_spec": ball.kind, "radius": ball.radius},
     )
 
 
 def dumps(value) -> str:
     """Canonical JSON of a GraphDocument (or of any JSON value): exactly
-    ``json.dumps(value, sort_keys=True, indent=2) + "\\n"``.
+    ``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, where a
+    document stands for its ``to_dict()``.
 
     CPython's C encoder does not indent, so the stdlib would write every
-    document in pure Python.  Here edge and vertex records are written by
-    one template each, and every other value is written by ``json.dumps``
-    itself and re-indented to its depth.
+    document in pure Python.  Here edge triples and vertex records are
+    written by one template each, and every other value is written by
+    ``json.dumps`` itself and re-indented to its depth.
     """
-    if isinstance(value, GraphDocument):
-        value = value.to_dict()
-    return _encode(value, "\n") + "\n"
+    if not isinstance(value, GraphDocument):
+        return _encode(value, "\n") + "\n"
+    inner = "\n  "
+    fields = (  # in sorted key order
+        ("edges", _edges(value.edges, inner)),
+        ("kind", _encode(value.kind, inner)),
+        ("metadata", _encode(value.metadata, inner)),
+        ("partitions", _encode(value.partitions, inner)),
+        ("schema_version", _encode(value.schema_version, inner)),
+    )
+    return "{" + inner + ("," + inner).join(
+        f'"{key}": {text}' for key, text in fields
+    ) + "\n}\n"
 
 
-_EDGE_KEYS = {"multiplicity", "u", "v"}
 _VERTEX_KEYS = {"coset_labels", "id"}
 _BALL_VERTEX_KEYS = {"coset_labels", "id", "interior"}
 
@@ -268,24 +277,32 @@ def _encode(value, nl: str) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
 
 
+def _edges(triples: list, nl: str) -> str:
+    """The edge records of ``triples`` as a list at indentation ``nl``; a
+    triple that is not three ints is written as its record by the stdlib."""
+    if not triples:
+        return "[]"
+    inner = nl + "  "
+    i2 = inner + "  "
+    edge = "{" + i2 + '"multiplicity": %d,' + i2 + '"u": %d,' + i2 + '"v": %d' + inner + "}"
+    out = []
+    for u, v, m in triples:
+        if type(u) is int and type(v) is int and type(m) is int:
+            out.append(edge % (m, u, v))
+        else:
+            out.append(_encode({"u": u, "v": v, "multiplicity": m}, inner))
+    return "[" + inner + ("," + inner).join(out) + nl + "]"
+
+
 def _items(values: list, nl: str) -> list[str]:
     """The list items, each at indentation ``nl``."""
-    i2 = nl + "  "
-    edge = "{" + i2 + '"multiplicity": %d,' + i2 + '"u": %d,' + i2 + '"v": %d' + nl + "}"
     out = []
     for x in values:
-        if type(x) is dict:
-            keys = x.keys()
-            if keys == _EDGE_KEYS:
-                m, u, v = x["multiplicity"], x["u"], x["v"]
-                if type(m) is int and type(u) is int and type(v) is int:
-                    out.append(edge % (m, u, v))
-                    continue
-            elif keys == _VERTEX_KEYS or keys == _BALL_VERTEX_KEYS:
-                text = _vertex(x, nl)
-                if text is not None:
-                    out.append(text)
-                    continue
+        if type(x) is dict and (x.keys() == _VERTEX_KEYS or x.keys() == _BALL_VERTEX_KEYS):
+            text = _vertex(x, nl)
+            if text is not None:
+                out.append(text)
+                continue
         out.append(_encode(x, nl))
     return out
 
@@ -402,9 +419,8 @@ def to_dot(doc: GraphDocument) -> str:
             lines.append(
                 f'  v{vertex["id"]} [label="{text}", fillcolor="{color}"];'
             )
-    for e in doc.edges:
-        for _ in range(e["multiplicity"]):
-            lines.append(f'  v{e["u"]} -- v{e["v"]};')
+    for u, v, m in doc.edges:
+        lines += [f"  v{u} -- v{v};"] * m
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -343,7 +343,8 @@ def recognize_family(graph) -> FamilyTag:
         return FamilyTag(COMPLETE, (n,))
 
     degrees = mg.weighted_degrees()
-    sides, components = mg.traverse()
+    adj = mg.adjacency()
+    sides, components = mg.traverse(adj)
     connected = components == 1
     if all_simple and n >= 3 and all(d == 2 for d in degrees) and connected:
         return FamilyTag(CYCLE, (n,))
@@ -355,7 +356,7 @@ def recognize_family(graph) -> FamilyTag:
             kind = COMPLETE_BIPARTITE if mult == 1 else DOUBLE_EDGED_COMPLETE_BIPARTITE
             return FamilyTag(kind, (min(a, b), max(a, b)))
 
-    multipartite = _complete_multipartite_sizes(mg)
+    multipartite = _complete_multipartite_sizes(mg, adj)
     if multipartite is not None:
         sizes = sorted(multipartite, reverse=True)
         if n == 6 and sizes == [2, 2, 2]:
@@ -378,8 +379,11 @@ def recognize_family(graph) -> FamilyTag:
     return FamilyTag(UNKNOWN)
 
 
-def _complete_multipartite_sizes(mg: Multigraph) -> list[int] | None:
-    """Class sizes if the graph is complete multipartite (all mult 1), else None.
+def _complete_multipartite_sizes(
+    mg: Multigraph, adj: list[dict[int, int]] | None = None
+) -> list[int] | None:
+    """Class sizes if the graph is complete multipartite (all mult 1), else
+    None.  A caller that already holds ``mg.adjacency()`` passes it as ``adj``.
 
     The vertices with one neighbour set N form a class C.  A member of C in N
     would be its own neighbour, so C and N are disjoint, and |C| + |N| = n
@@ -388,7 +392,7 @@ def _complete_multipartite_sizes(mg: Multigraph) -> list[int] | None:
     """
     if set(mg.edges.values()) - {1}:
         return None
-    classes = Counter(frozenset(row) for row in mg.adjacency())
+    classes = Counter(frozenset(row) for row in adj or mg.adjacency())
     if len(classes) < 2 or any(len(nbrs) + size != mg.n for nbrs, size in classes.items()):
         return None
     return list(classes.values())

@@ -35,9 +35,9 @@ class Multigraph:
     ``classes`` optionally records a vertex partition (used when the graph
     came from a coset construction or an annotated edge list), refused by
     ``check_partition`` unless it covers every vertex exactly once.  ``edges``
-    are ``(u, v, m)`` triples, added through add_edge.  ``n``, the ids and
-    the multiplicities are ints (bools are refused), and ``n`` is bounded at
-    VERTEX_LIMIT, so no input can size a graph past it.
+    are ``(u, v, m)`` triples, checked and added as add_edge does.  ``n``,
+    the ids and the multiplicities are ints (bools are refused), and ``n`` is
+    bounded at VERTEX_LIMIT, so no input can size a graph past it.
     """
 
     def __init__(
@@ -55,20 +55,29 @@ class Multigraph:
         self.n = n
         self.edges: dict[tuple[int, int], int] = {}
         self.classes = classes
-        for u, v, m in edges:
-            self.add_edge(u, v, m)
+        self._add_edges(edges)
 
     def add_edge(self, u: int, v: int, mult: int = 1) -> None:
-        if not (type(u) is int and type(v) is int and type(mult) is int):
-            raise InvalidParameterError(f"edge {(u, v, mult)!r}: ids and multiplicity must be ints")
-        if u == v:
-            raise InvalidParameterError("loops are not supported")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvalidParameterError(f"edge ({u},{v}) out of range")
-        if mult < 1:
-            raise InvalidParameterError("multiplicity must be >= 1")
-        key = (u, v) if u < v else (v, u)
-        self.edges[key] = self.edges.get(key, 0) + mult
+        self._add_edges(((u, v, mult),))
+
+    def _add_edges(self, triples: Iterable[tuple[int, int, int]]) -> None:
+        """Check and store each (u, v, m) in turn, adding to the multiplicity
+        of an edge already present."""
+        n = self.n
+        stored = self.edges
+        for u, v, mult in triples:
+            if not (type(u) is int and type(v) is int and type(mult) is int):
+                raise InvalidParameterError(
+                    f"edge {(u, v, mult)!r}: ids and multiplicity must be ints"
+                )
+            if u == v:
+                raise InvalidParameterError("loops are not supported")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidParameterError(f"edge ({u},{v}) out of range")
+            if mult < 1:
+                raise InvalidParameterError("multiplicity must be >= 1")
+            key = (u, v) if u < v else (v, u)
+            stored[key] = stored.get(key, 0) + mult
 
     def edge_multiplicity_total(self) -> int:
         return sum(self.edges.values())
@@ -126,14 +135,18 @@ class Multigraph:
             adj[v][u] = m
         return adj
 
-    def traverse(self) -> tuple[Optional[tuple[list[int], list[int]]], int]:
+    def traverse(
+        self, adj: Optional[list[dict[int, int]]] = None
+    ) -> tuple[Optional[tuple[list[int], list[int]]], int]:
         """One breadth-first search: the two sides and the component count.
 
         Each component is searched from its lowest vertex, in id order, and
         a vertex's side is the parity of its distance from that vertex.  The
         sides are None when an edge joins one side to itself (an odd cycle).
+        A caller that already holds ``adjacency()`` passes it as ``adj``.
         """
-        adj = self.adjacency()
+        if adj is None:
+            adj = self.adjacency()
         side = [-1] * self.n
         components = 0
         two_sided = True

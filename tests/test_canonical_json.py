@@ -106,7 +106,10 @@ if st is not None:
         max_leaves=8,
     )
     extra = {"extra": values}
-    edges = st.one_of(
+    # a document holds (u, v, m) triples; bools, floats and huge ints fall back
+    edges = st.tuples(numbers, numbers, numbers)
+    # records shaped like edges, and any other, in a plain value
+    records = st.one_of(
         st.fixed_dictionaries({"u": numbers, "v": numbers, "multiplicity": numbers}),
         st.fixed_dictionaries(
             {"u": numbers, "v": numbers, "multiplicity": numbers}, optional=extra
@@ -146,6 +149,6 @@ if st is not None:
     )
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(documents, documents, values))
+    @given(st.one_of(documents, documents, values, st.lists(records, max_size=5)))
     def test_dumps_matches_the_stdlib(value):
         assert dumps(value) == _stdlib(value)

@@ -57,6 +57,35 @@ def test_plain_document_round_trip():
     assert dumps(loads(dumps(doc))) == dumps(doc)
 
 
+def test_ggraph_document_shares_the_view_triples():
+    group, _, gg = cat.fixture("sym4_all_transpositions")
+    doc = document_from_ggraph(gg, list(group.labels))
+    assert len(doc.edges) == len(gg.edges)
+    assert all(doc.edges[i] is gg.edges[i] for i in range(len(gg.edges)))
+    back = loads(dumps(doc))
+    assert back.edges == list(gg.edges)
+    assert all(type(e) is tuple for e in back.edges)
+
+
+def _records(triples):
+    return [{"u": u, "v": v, "multiplicity": m} for u, v, m in triples]
+
+
+def test_to_dict_renders_edge_records():
+    _, _, gg = cat.fixture("sym4_all_transpositions")
+    ball = sl2z_ball(2)
+    mg = turan_graph(7, 3)
+    cases = (
+        (document_from_ggraph(gg), list(gg.edges)),
+        (document_from_ball(ball), list(ball.edges)),
+        (document_from_multigraph(mg), [(u, v, m) for (u, v), m in sorted(mg.edges.items())]),
+    )
+    for doc, triples in cases:
+        assert doc.edges == triples
+        assert doc.to_dict()["edges"] == _records(triples)
+        assert json.loads(dumps(doc))["edges"] == _records(triples)
+
+
 VIEW_CASES = (
     [("ggraph", name) for name in cat.CATALOG_NAMES]
     + [("sl2z", r) for r in (0, 1, 3)]

@@ -178,6 +178,22 @@ def test_recognize_families():
     assert tag.kind == UNKNOWN
 
 
+def test_recognize_family_builds_its_input_adjacency_once(monkeypatch):
+    # the traversal and the multipartite check share one adjacency; the
+    # other two calls are canonical_form on the input and on the reference Q4
+    calls = []
+    build = Multigraph.adjacency
+
+    def counted(self):
+        calls.append(self.n)
+        return build(self)
+
+    monkeypatch.setattr(Multigraph, "adjacency", counted)
+    tag = recognize_family(hypercube_graph(4))
+    assert (tag.kind, tag.params) == (HYPERCUBE, (4,))
+    assert len(calls) == 3
+
+
 def test_recognize_family_params_consistent():
     tag = recognize_family(complete_bipartite(3, 7))
     assert (tag.kind, tag.params) == (COMPLETE_BIPARTITE, (3, 7))
