@@ -50,7 +50,7 @@ from .errors import (
     TooLargeError,
 )
 from .ggraph import build_ggraph
-from .iso import SIZE_BOUND, canonical_form
+from .iso import SIZE_BOUND, _first_leaf, _reaches
 from .multigraph import Multigraph, as_multigraph, check_partition, turan_sizes
 
 # groups loads numpy, so it is imported inside the functions that use a group
@@ -494,10 +494,12 @@ def witness_search(
     whose multiset of subgroups was already tried in the group is skipped,
     and so is one whose graph's edge-multiplicity or distinct-degree
     histogram, read off the subgroups' intersections, differs from the
-    target's.  Only the rest are closed, built and canonicalized.  None means
-    the catalog is exhausted, not that the verdict is wrong; no catalog group
-    is larger than CLOSURE_LIMIT.  A verdict whose orders are not positive
-    integers gets None too.
+    target's.  Only the rest are closed and built.  A built graph is a
+    witness when its search reaches a leaf with the encoding of the target's
+    first leaf, as in ``are_isomorphic``; neither graph is labeled
+    canonically.  None means the catalog is exhausted, not that the verdict
+    is wrong; no catalog group is larger than CLOSURE_LIMIT.  A verdict whose
+    orders are not positive integers gets None too.
     """
     return next(_witnesses(verdict, target, max_sequences), None)
 
@@ -525,10 +527,11 @@ def _witnesses(
     if k * (k - 1) // 2 * n_order != tgt.edge_multiplicity_total():
         return
 
-    # every candidate has the target's vertex count and edge total, so the
-    # canonical forms alone decide isomorphism
-    target_form = canonical_form(tgt).edges
-    target_shape = (Counter(tgt.edges.values()), Counter(map(len, tgt.adjacency())))
+    # every candidate has the target's vertex count and edge total, so a
+    # leaf with the encoding of the target's first leaf decides isomorphism
+    adj = tgt.adjacency()
+    goal = _first_leaf(tgt, adj)
+    target_shape = (Counter(tgt.edges.values()), Counter(map(len, adj)))
     budget = max_sequences
     for entry in _catalog_groups(n_order):
         pools = [entry.pool(o) for o in wanted]
@@ -549,7 +552,7 @@ def _witnesses(
                 seq = make_gen_sequence(entry.group, [x for x, _ in combo])
             except NotAGeneratingSetError:
                 continue
-            if canonical_form(build_ggraph(entry.group, seq)).edges == target_form:
+            if _reaches(build_ggraph(entry.group, seq).to_multigraph(), goal):
                 yield entry.group, seq
                 break  # one witness per catalog group is enough
 

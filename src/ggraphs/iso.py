@@ -24,6 +24,11 @@ The search follows McKay and Piperno, "Practical graph isomorphism, II"
 The twin transpositions and the found automorphisms generate the
 automorphism group; ``CanonicalForm.generators`` lists them.
 
+An isomorphism test labels neither graph canonically.  It follows one path
+of the first graph's tree to a leaf (``_first_leaf``), then runs the same
+search on the second graph and stops at the first leaf with that leaf's
+encoding (``_reaches``); only when there is none does the search end.
+
 The generic machinery is bounded at SIZE_BOUND vertices and NODE_BUDGET
 search nodes, and raises TooLargeError beyond either; larger graphs are
 meant to be validated through the structural recognizers and the
@@ -43,10 +48,11 @@ from .multigraph import (
 )
 
 SIZE_BOUND = 64
-# Search nodes (leaves included) one canonical labeling may visit.  A call in
-# the test suite needs at most 560 and one in the recognize benchmark at most
-# 68; graphs of random Latin squares of order 8 (64 vertices, strongly
-# regular, few automorphisms), the hardest inputs found so far, about 5,300.
+# Search nodes (leaves included) one search may visit.  A search in the test
+# suite needs at most 560 and one in the recognize benchmark at most 24 (seeds
+# 1-10), where a path to a first leaf is at most 13 nodes deep; graphs of
+# random Latin squares of order 8 (64 vertices, strongly regular, few
+# automorphisms), the hardest inputs found so far, about 5,300.
 NODE_BUDGET = 10_000
 
 COMPLETE = "complete"
@@ -98,10 +104,6 @@ class FamilyTag(NamedTuple):
 def canonical_form(graph) -> CanonicalForm:
     """Canonical form invariant under any relabeling of the input vertices."""
     mg = as_multigraph(graph)
-    if mg.n > SIZE_BOUND:
-        raise TooLargeError(
-            f"{mg.n} vertices exceeds the canonical-form bound {SIZE_BOUND}"
-        )
     if mg.n == 0:
         return CanonicalForm(0, ())
     search = _Canonicalizer(mg)
@@ -110,27 +112,65 @@ def canonical_form(graph) -> CanonicalForm:
 
 
 def are_isomorphic(a, b) -> bool:
-    """Multiplicity-preserving isomorphism test via canonical forms."""
+    """Multiplicity-preserving isomorphism test: whether b's search tree has
+    a leaf with the encoding of a's first leaf (``_first_leaf``)."""
     ma, mb = as_multigraph(a), as_multigraph(b)
     if ma.n != mb.n or ma.edge_multiplicity_total() != mb.edge_multiplicity_total():
         return False
     if sorted(ma.weighted_degrees()) != sorted(mb.weighted_degrees()):
         return False
-    return canonical_form(ma).edges == canonical_form(mb).edges
+    return _reaches(mb, _first_leaf(ma))
+
+
+def _first_leaf(mg: Multigraph, adj: list[dict[int, int]] | None = None) -> tuple:
+    """The encoding of the first leaf ``_descend`` visits: the path that
+    individualizes the first vertex of each target cell.  Its nodes are
+    charged to a budget of NODE_BUDGET, like any search."""
+    search = _Canonicalizer(mg, adj=adj)
+    colors, cells = search._root()
+    search._visit()
+    while len(cells) < search.n:
+        colors, cells = search._branch(colors, cells, search._target(cells)[0])
+        search._visit()
+    return search._encode(colors)
+
+
+def _reaches(mg: Multigraph, goal: tuple, adj: list[dict[int, int]] | None = None) -> bool:
+    """Whether some leaf of mg's search tree has the encoding ``goal``.
+
+    The search is the canonical labeling's, stopped at the first such leaf.
+    Refinement, cell choice and encodings ignore vertex names, so an
+    isomorphism maps the path that gave ``goal`` onto a leaf of mg with that
+    encoding; pruning skips only automorphic images of subtrees already
+    searched, so the search meets that leaf or an image of it.  A caller
+    that holds ``mg.adjacency()`` passes it as ``adj``.
+    """
+    return _Canonicalizer(mg, goal, adj).run() == goal
 
 
 class _Canonicalizer:
-    """One canonical-labeling search; ``run`` returns the best leaf encoding.
+    """One canonical-labeling search; ``run`` returns the best leaf encoding,
+    or ``goal`` once a leaf has that encoding.
 
     A coloring gives each vertex the start position of its cell in the
     ordered partition, so splitting a cell leaves every other id unchanged
     and a discrete coloring is the leaf's labeling itself.
     """
 
-    def __init__(self, mg: Multigraph):
+    def __init__(
+        self,
+        mg: Multigraph,
+        goal: tuple | None = None,
+        adj: list[dict[int, int]] | None = None,
+    ):
+        if mg.n > SIZE_BOUND:
+            raise TooLargeError(
+                f"{mg.n} vertices exceeds the canonical-form bound {SIZE_BOUND}"
+            )
         self.n = mg.n
         self.edges = mg.edges
-        self.adj = mg.adjacency()
+        self.goal = goal
+        self.adj = adj or mg.adjacency()
         self.rows = [tuple(row.items()) for row in self.adj]
         # a (color, multiplicity) pair packed as color * scale + m sorts
         # like the pair itself
@@ -139,11 +179,12 @@ class _Canonicalizer:
         self.best: tuple | None = None
         self.best_path: list[int] = []
         self.best_labeling: list[int] = []
-        self.twin = self._twin_classes()
+        self.twin: list[int] = []
         self.found: list[tuple[int, ...]] = []
         self._known: set[tuple[int, ...]] = set()
 
     def run(self) -> tuple[tuple[int, int, int], ...]:
+        self.twin = self._twin_classes()
         self._descend(*self._root(), [])
         return self.best
 
@@ -245,20 +286,28 @@ class _Canonicalizer:
                         touched.extend(part)
                     start += len(part)
 
-    def _descend(
-        self, colors: list[int], cells: dict[int, list[int]], prefix: list[int]
-    ) -> int | None:
-        """Search below one node; the depth of a node to return to, if any."""
+    def _visit(self) -> None:
+        """Charge one search node to the budget."""
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise TooLargeError(
                 f"canonical labeling exceeds its budget of {NODE_BUDGET} search nodes"
             )
+
+    @staticmethod
+    def _target(cells: dict[int, list[int]]) -> list[int]:
+        """The first of the smallest non-singleton cells."""
+        _, start = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
+        return cells[start]
+
+    def _descend(
+        self, colors: list[int], cells: dict[int, list[int]], prefix: list[int]
+    ) -> int | None:
+        """Search below one node; the depth of a node to return to, if any."""
+        self._visit()
         if len(cells) == self.n:
             return self._leaf(colors, prefix)
-        # the first of the smallest non-singleton cells
-        _, start = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
-        target = cells[start]
+        target = self._target(cells)
         depth = len(prefix)
         # Union-find orbits of the target cell under its twin classes and the
         # automorphisms found so far that fix the prefix (they map the cell
@@ -296,12 +345,20 @@ class _Canonicalizer:
                 return jump
         return None
 
-    def _leaf(self, position: list[int], path: list[int]) -> int | None:
+    def _encode(self, position: list[int]) -> tuple[tuple[int, int, int], ...]:
+        """The sorted edges of the graph relabeled by a leaf's positions."""
         relabeled = []
         for (u, w), m in self.edges.items():
             a, b = position[u], position[w]
             relabeled.append((a, b, m) if a < b else (b, a, m))
-        enc = tuple(sorted(relabeled))
+        return tuple(sorted(relabeled))
+
+    def _leaf(self, position: list[int], path: list[int]) -> int | None:
+        enc = self._encode(position)
+        if enc == self.goal:
+            # -1 is above the root, so every caller returns at once
+            self.best, self.best_labeling = enc, position
+            return -1
         if self.best is None or enc < self.best:
             self.best, self.best_path, self.best_labeling = enc, path, position
             return None
@@ -372,7 +429,7 @@ def recognize_family(graph) -> FamilyTag:
         and all(deg == d for deg in degrees)
         and len(mg.edges) == d * (1 << (d - 1))
         and sides is not None
-        and canonical_form(mg).edges == canonical_form(hypercube_graph(d)).edges
+        and _reaches(mg, _first_leaf(hypercube_graph(d)), adj)
     ):
         return FamilyTag(HYPERCUBE, (d,))
 

@@ -267,6 +267,16 @@ def test_characterize_stays_the_function(tmp_path, first):
     assert (kind, module) == ("function", "ggraphs.characterize")
 
 
+def test_import_as_binds_the_function_and_import_module_the_module(tmp_path):
+    # ``import a.b as m`` reads ``b`` off the package, as README says
+    code = ("import importlib, json\n"
+            "import ggraphs.characterize as m\n"
+            "module = importlib.import_module('ggraphs.characterize')\n"
+            "print(json.dumps([type(m).__name__, type(module).__name__, module.__name__,\n"
+            "                  module.characterize is m]))")
+    assert _python(code, cwd=tmp_path) == ["function", "module", "ggraphs.characterize", True]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ggraphs.no_such_name  # noqa: B018

@@ -28,6 +28,7 @@ from ggraphs.iso import (
     UNKNOWN,
     _Canonicalizer,
     _complete_multipartite_sizes,
+    _first_leaf,
 )
 from ggraphs.multigraph import (
     Multigraph,
@@ -179,8 +180,8 @@ def test_recognize_families():
 
 
 def test_recognize_family_builds_its_input_adjacency_once(monkeypatch):
-    # the traversal and the multipartite check share one adjacency; the
-    # other two calls are canonical_form on the input and on the reference Q4
+    # the traversal, the multipartite check and the input's search for the
+    # reference Q4's first leaf share one adjacency; the other is Q4's own
     calls = []
     build = Multigraph.adjacency
 
@@ -191,7 +192,7 @@ def test_recognize_family_builds_its_input_adjacency_once(monkeypatch):
     monkeypatch.setattr(Multigraph, "adjacency", counted)
     tag = recognize_family(hypercube_graph(4))
     assert (tag.kind, tag.params) == (HYPERCUBE, (4,))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_recognize_family_params_consistent():
@@ -269,22 +270,27 @@ def test_multipartite_sizes_on_shuffled_complete_multipartite_graphs():
         assert _sorted_sizes(missing) == _multipartite_reference(missing)
 
 
-def test_isomorphism_agrees_with_vf2_oracle():
-    nx = pytest.importorskip("networkx")
-    from networkx.algorithms.isomorphism import GraphMatcher, numerical_edge_match
+def _vf2(a, b):
+    """networkx's VF2 verdict on a and b, or None without networkx."""
+    try:
+        import networkx as nx
+        from networkx.algorithms.isomorphism import GraphMatcher, numerical_edge_match
+    except ImportError:
+        return None
 
     def to_nx(mg):
         g = nx.Graph()
         g.add_nodes_from(range(mg.n))
-        for (u, v), m in mg.edges.items():
-            g.add_edge(u, v, mult=m)
+        g.add_edges_from((u, v, {"mult": m}) for (u, v), m in mg.edges.items())
         return g
 
-    def oracle(a, b):
-        return GraphMatcher(
-            to_nx(a), to_nx(b), edge_match=numerical_edge_match("mult", 1)
-        ).is_isomorphic()
+    return GraphMatcher(
+        to_nx(a), to_nx(b), edge_match=numerical_edge_match("mult", 1)
+    ).is_isomorphic()
 
+
+def test_isomorphism_agrees_with_vf2_oracle():
+    pytest.importorskip("networkx")
     rng = random.Random(7)
 
     def random_multigraph(n, p, max_mult):
@@ -306,9 +312,9 @@ def test_isomorphism_agrees_with_vf2_oracle():
         u, v = rng.sample(range(n), 2)
         key = (min(u, v), max(u, v))
         h.edges[key] = h.edges.get(key, 0) + 1
-        assert are_isomorphic(g, h) == oracle(g, h)
+        assert are_isomorphic(g, h) == _vf2(g, h)
         other = random_multigraph(n, rng.choice([0.2, 0.5]), rng.choice([1, 2]))
-        assert are_isomorphic(g, other) == oracle(g, other)
+        assert are_isomorphic(g, other) == _vf2(g, other)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +414,15 @@ def _rook(k):
     return g
 
 
-@pytest.mark.parametrize("name,build", [
+SYMMETRIC_64 = [
     ("32K2", lambda: _copies(complete_graph(2), 32)),
     ("8C8", lambda: _copies(cycle_graph(8), 8)),
     ("K8xK8", lambda: _rook(8)),
     ("Q6", lambda: hypercube_graph(6)),
-])
+]
+
+
+@pytest.mark.parametrize("name,build", SYMMETRIC_64)
 def test_symmetric_64_vertex_graphs_need_few_search_nodes(name, build, monkeypatch):
     # Without orbit pruning and backjumps the first three never ended.  Over
     # 30 relabelings the search takes at most 560, 187, 117 and 40 nodes.
@@ -518,9 +527,139 @@ def test_node_budget_raises_too_large(monkeypatch):
 
 
 def test_analyze_exits_2_when_the_node_budget_runs_out(monkeypatch, capsys):
-    # analyze names the cube through canonical_form (recognize_family)
+    # analyze names the cube through recognize_family, whose path to the
+    # reference Q3's first leaf takes more than one node
     monkeypatch.setattr("ggraphs.iso.NODE_BUDGET", 1)
     assert main(["analyze", str(FIXDIR / "cube.edges")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: canonical labeling exceeds its budget")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# isomorphism by one leaf
+# ---------------------------------------------------------------------------
+
+
+def _small_graphs():
+    """Every catalog coset graph and fixture of at most 64 vertices, by name."""
+    graphs = [(name, cat.ggraph_of(name).to_multigraph()) for name in cat.CATALOG_NAMES]
+    graphs += [(p.name, read_edge_list(p)) for p in sorted(FIXDIR.glob("*.edges"))]
+    return [(name, g) for name, g in graphs if g.n <= SIZE_BOUND]
+
+
+def _swapped(graph, rng, swaps):
+    """``graph`` after ``swaps`` random double-edge swaps a-b, c-d -> a-d, c-b
+    of equal multiplicity, with a, c in one class and b, d in another; each
+    keeps every class and weighted degree."""
+    side = {v: i for i, cls in enumerate(graph.classes or [range(graph.n)]) for v in cls}
+    edges = dict(graph.edges)
+    done = 0
+    for _ in range(100 * swaps):
+        if done == swaps:
+            break
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = [(min(a, d), max(a, d)), (min(c, b), max(c, b))]
+        if (
+            side[a] != side[c] or side[b] != side[d] or edges[a, b] != edges[min(c, d), max(c, d)]
+            or a == d or c == b or new[0] == new[1] or any(e in edges for e in new)
+        ):
+            continue
+        m = edges.pop((a, b))
+        del edges[min(c, d), max(c, d)]
+        edges.update(dict.fromkeys(new, m))
+        done += 1
+    return Multigraph(graph.n, edges=((u, v, m) for (u, v), m in edges.items()))
+
+
+def _assert_decides_like_the_forms(a, b, vf2=True):
+    same = are_isomorphic(a, b)
+    assert same == (canonical_form(a) == canonical_form(b))
+    assert not vf2 or _vf2(a, b) in (None, same)
+    return same
+
+
+def test_one_leaf_isomorphism_on_relabelings():
+    rng = random.Random(27)
+    for _, graph in _small_graphs():
+        for _ in range(3):
+            perm = list(range(graph.n))
+            rng.shuffle(perm)
+            assert _assert_decides_like_the_forms(graph, relabel(graph, perm))
+
+
+def test_one_leaf_isomorphism_on_equal_degree_sequences():
+    rng = random.Random(27)
+    graphs = _small_graphs()
+    pairs = [
+        (a, b) for i, (_, a) in enumerate(graphs) for _, b in graphs[i + 1:]
+        if sorted(a.weighted_degrees()) == sorted(b.weighted_degrees())
+    ]
+    for _, graph in graphs:
+        if graph.edges and graph.classes:
+            pairs += [(graph, _swapped(graph, rng, swaps)) for swaps in (1, 2, 5, 20)]
+    distinct = 0
+    for a, b in pairs:
+        perm = list(range(b.n))
+        rng.shuffle(perm)
+        # VF2 takes up to seconds on a non-isomorphic pair of A5's graphs
+        # (32 and 60 vertices), so it checks the smaller pairs
+        distinct += not _assert_decides_like_the_forms(a, relabel(b, perm), a.n < 32)
+    assert distinct >= 30
+
+
+def test_the_matched_leaf_maps_edges_onto_edges():
+    rng = random.Random(27)
+    for _, a in _small_graphs():
+        perm = list(range(a.n))
+        rng.shuffle(perm)
+        b = relabel(a, perm)
+        goal = _first_leaf(a)
+        # a's own search stops at once, at the leaf _first_leaf followed
+        first, match = _Canonicalizer(a, goal), _Canonicalizer(b, goal)
+        assert first.run() == match.run() == goal
+        vertex_at = {pos: v for v, pos in enumerate(match.best_labeling)}
+        f = [vertex_at[pos] for pos in first.best_labeling]
+        assert sorted(f) == list(range(a.n))
+        for (u, v), m in a.edges.items():
+            assert b.edges.get((min(f[u], f[v]), max(f[u], f[v]))) == m
+
+
+@pytest.mark.parametrize("name,build", SYMMETRIC_64)
+def test_isomorphism_visits_no_more_nodes_than_one_labeling(name, build, monkeypatch):
+    visits = []
+    descend = _Canonicalizer._descend
+
+    def counted(self, *args):
+        visits.append(self)
+        return descend(self, *args)
+
+    monkeypatch.setattr(_Canonicalizer, "_descend", counted)
+    graph = build()
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(graph.n))
+        rng.shuffle(perm)
+        relabeled = relabel(graph, perm)
+        visits.clear()
+        canonical_form(relabeled)
+        labeling = len(visits)
+        visits.clear()
+        assert are_isomorphic(graph, relabeled)
+        assert len(visits) <= labeling
+
+
+def test_goal_search_keeps_the_node_budget(monkeypatch):
+    monkeypatch.setattr("ggraphs.iso.NODE_BUDGET", 50)
+    c64, c8s = cycle_graph(64), _copies(cycle_graph(8), 8)
+    # C64's first leaf is 3 nodes deep, but the whole search of 8·C8 takes
+    # about 200 nodes and meets no leaf of that encoding
+    with pytest.raises(TooLargeError, match="budget of 50 search nodes"):
+        are_isomorphic(c64, c8s)
+    # 8·C8's own labeling takes about 200 nodes too, its first leaf 17: the
+    # pair gets an answer, since only C64 is searched in full
+    assert not are_isomorphic(c8s, c64)
+    with pytest.raises(TooLargeError):
+        canonical_form(c8s)
