@@ -37,8 +37,10 @@ def analyze(graph) -> StructureReport:
     class-dependent fields read the graph's stored partition.
     """
     mg = as_multigraph(graph)
-    degrees = mg.weighted_degrees()
-    sides, components = mg.traverse()
+    adj = mg.adjacency()
+    # a row holds each neighbour's multiplicity once, and there are no loops
+    degrees = list(map(sum, map(dict.values, adj)))
+    sides, components = mg.traverse(adj)
     connected = components <= 1
     eulerian = connected and all(d % 2 == 0 for d in degrees)
 

@@ -150,7 +150,7 @@ class GroupTable:
         e = self.identity
         if len(self.labels) != n:
             raise InvalidParameterError("label count must equal group order")
-        if len(set(self.labels)) != n:
+        if len(self._label_index) != n:
             raise InvalidParameterError("labels must be pairwise distinct")
         every = np.arange(n)
         _require(

@@ -23,7 +23,9 @@ covered).  The graph is sized from the largest id, so ids at or above
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InvalidInputError, SizeLimitError
@@ -34,6 +36,13 @@ if TYPE_CHECKING:
     from .infinite import BallGraph
 
 SCHEMA_VERSION = "1"
+# Shorter lists are written and checked record by record: below about 12
+# vertex records or 90 edge triples, gathering and checking them at C speed
+# costs more than it saves.
+_BULK_VERTICES = 16
+_BULK_EDGES = 128
+# records per template in dumps: bounds the template and its argument tuple
+_BLOCK = 512
 
 _DOT_PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3", "#a6d854",
@@ -96,19 +105,13 @@ class GraphDocument:
 
     def _load(self, records: list) -> None:
         """Check the vertex records, then append each edge record's triple.
-        Each record is checked once; only a record that fails is looked at
-        again, to name what is wrong with it."""
+        Each class and edge record is checked once; only one that fails is
+        looked at again, to name what is wrong with it."""
         ids = []
         for part in self.partitions:
             if not isinstance(part, dict) or not isinstance(part.get("vertices"), list):
                 raise InvalidInputError("every partition needs a 'vertices' list")
-            for vertex in part["vertices"]:
-                ids.append(_int_field(vertex, "id"))
-                labels = vertex.get("coset_labels")
-                if labels is not None and not (
-                    isinstance(labels, list) and all(isinstance(x, str) for x in labels)
-                ):
-                    raise InvalidInputError(f"bad coset labels in vertex {ids[-1]}")
+            ids += _vertex_ids(part["vertices"])
         n = len(ids)
         if sorted(ids) != list(range(n)):
             raise InvalidInputError("vertex ids must be dense from 0")
@@ -122,12 +125,14 @@ class GraphDocument:
                         and 0 <= u < v < n and m >= 1):
                     append((u, v, m))
                     continue
-            # the checks above failed, so one of these raises
+            # not a plain dict of valid ints: name what is wrong, or take
+            # the record when it is valid after all (a dict subclass)
             u, v, m = (_int_field(e, key) for key in ("u", "v", "multiplicity"))
             if not (0 <= u < v < n):
                 raise InvalidInputError(f"bad edge record {e}")
             if m < 1:
                 raise InvalidInputError(f"bad multiplicity in {e}")
+            append((u, v, m))
 
     def vertex_count(self) -> int:
         return sum(len(part["vertices"]) for part in self.partitions)
@@ -147,6 +152,31 @@ class GraphDocument:
 
     def total_multiplicity(self) -> int:
         return sum(m for _, _, m in self.edges)
+
+
+def _vertex_ids(vertices: list) -> list[int]:
+    """The ids of one class's vertex records, each an int id with null or
+    str labels.  A class of at least _BULK_VERTICES plain dicts and lists is
+    checked at C speed; any other class is checked record by record, which
+    takes a dict or list subclass and names the first record that is wrong."""
+    if len(vertices) >= _BULK_VERTICES and set(map(type, vertices)) <= {dict}:
+        ids = list(map(dict.get, vertices, repeat("id")))
+        labels = list(map(dict.get, vertices, repeat("coset_labels")))
+        if (
+            set(map(type, ids)) <= {int}
+            and set(map(type, labels)) <= {list, type(None)}
+            and all(map(isinstance, chain.from_iterable(filter(None, labels)), repeat(str)))
+        ):
+            return ids
+    ids = []
+    for vertex in vertices:
+        ids.append(_int_field(vertex, "id"))
+        labels = vertex.get("coset_labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(map(isinstance, labels, repeat(str)))
+        ):
+            raise InvalidInputError(f"bad coset labels in vertex {ids[-1]}")
+    return ids
 
 
 def _int_field(record, key: str) -> int:
@@ -239,9 +269,22 @@ def dumps(value) -> str:
     document stands for its ``to_dict()``.
 
     CPython's C encoder does not indent, so the stdlib would write every
-    document in pure Python.  Here edge triples and vertex records are
-    written by one template each, and every other value is written by
-    ``json.dumps`` itself and re-indented to its depth.
+    document in pure Python.  Here two kinds of list are written a block
+    of at most _BLOCK records at a time, by one ``%`` template per block,
+    once every value has been gathered and type-checked at C speed:
+
+    * a document's edge triples, when there are at least _BULK_EDGES and
+      every one is three ints;
+    * a list of at least _BULK_VERTICES vertex records that each hold
+      exactly an int ``id`` and ``coset_labels``, k >= 1 str labels for
+      one k (a long class of a coset graph).
+
+    Any other list, such as a shorter one or a ball's or a plain graph's
+    vertices, is written whole by the per-record writer: a template for
+    each vertex record with null or str labels and an optional bool
+    ``interior``, and the stdlib for every other record.  A str, int, bool
+    or null is written as the stdlib writes it, and every other value by
+    ``json.dumps`` itself, re-indented to its depth.
     """
     if not isinstance(value, GraphDocument):
         return _encode(value, "\n") + "\n"
@@ -260,11 +303,23 @@ def dumps(value) -> str:
 
 _VERTEX_KEYS = {"coset_labels", "id"}
 _BALL_VERTEX_KEYS = {"coset_labels", "id", "interior"}
+# The stdlib's text for a value of exactly these types, at any depth: a
+# json.dumps call for each label, order and generator name would add about
+# 20 µs to a small coset graph's document, 1-2 % of its construct job.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _encode(value, nl: str) -> str:
     """``value`` as the stdlib writes it at the depth whose line break and
     indentation is ``nl``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     inner = nl + "  "
     if type(value) is dict and value and all(type(key) is str for key in value):
         return "{" + inner + ("," + inner).join([
@@ -272,19 +327,39 @@ def _encode(value, nl: str) -> str:
             for key, item in sorted(value.items())
         ]) + nl + "}"
     if type(value) is list and value:
-        return "[" + inner + ("," + inner).join(_items(value, inner)) + nl + "]"
+        body = _coset_vertices(value, inner)
+        if body is None:
+            body = ("," + inner).join(_items(value, inner))
+        return "[" + inner + body + nl + "]"
     # json strings hold no raw line break, so re-indenting is exact
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _edges(triples: list, nl: str) -> str:
-    """The edge records of ``triples`` as a list at indentation ``nl``; a
-    triple that is not three ints is written as its record by the stdlib."""
+    """The edge records of ``triples`` as a list at indentation ``nl``.
+
+    When there are at least _BULK_EDGES triples and every one is three ints,
+    they fill the template a block at a time; otherwise each triple is
+    written in turn, and one that is not three ints as its record by the
+    stdlib.
+    """
     if not triples:
         return "[]"
     inner = nl + "  "
     i2 = inner + "  "
     edge = "{" + i2 + '"multiplicity": %d,' + i2 + '"u": %d,' + i2 + '"v": %d' + inner + "}"
+    us = None
+    if len(triples) >= _BULK_EDGES:
+        try:  # raises unless every triple has three items
+            us, vs, ms = zip(*triples, strict=True)
+        except (TypeError, ValueError):
+            pass
+    if us is not None and {int} == set(map(type, us)) == set(map(type, vs)) == set(map(type, ms)):
+        fields = [None] * (3 * len(triples))
+        fields[0::3] = ms
+        fields[1::3] = us
+        fields[2::3] = vs
+        return "[" + inner + _fill(edge, fields, 3, inner) + nl + "]"
     out = []
     for u, v, m in triples:
         if type(u) is int and type(v) is int and type(m) is int:
@@ -292,6 +367,60 @@ def _edges(triples: list, nl: str) -> str:
         else:
             out.append(_encode({"u": u, "v": v, "multiplicity": m}, inner))
     return "[" + inner + ("," + inner).join(out) + nl + "]"
+
+
+def _coset_vertices(records: list, nl: str) -> Optional[str]:
+    """The items, at indentation ``nl``, of a list of vertex records that
+    each hold exactly an int ``id`` and ``coset_labels``, k >= 1 str labels
+    for one k; None for any other list."""
+    if (len(records) < _BULK_VERTICES or set(map(type, records)) != {dict}
+            or set(map(len, records)) != {2}):
+        return None
+    try:  # with two keys each, both found means no other key
+        ids = list(map(itemgetter("id"), records))
+        labels = list(map(itemgetter("coset_labels"), records))
+    except KeyError:
+        return None
+    if set(map(type, ids)) != {int} or set(map(type, labels)) != {list}:
+        return None
+    sizes = set(map(len, labels))
+    if len(sizes) != 1 or 0 in sizes:
+        return None
+    (k,) = sizes
+    try:  # encode_basestring_ascii raises TypeError on a non-str label
+        encoded = list(map(encode_basestring_ascii, chain.from_iterable(labels)))
+    except TypeError:
+        return None
+    # each record's k labels, then its id
+    fields = [None] * (len(records) * (k + 1))
+    for i in range(k):
+        fields[i::k + 1] = encoded[i::k]
+    fields[k::k + 1] = ids
+    i2 = nl + "  "
+    i3 = i2 + "  "
+    record = (
+        "{" + i2 + '"coset_labels": [' + i3 + ("," + i3).join(["%s"] * k)
+        + i2 + "]," + i2 + '"id": %d' + nl + "}"
+    )
+    return _fill(record, fields, k + 1, nl)
+
+
+def _fill(record: str, fields: list, width: int, nl: str) -> str:
+    """``record``, a template of ``width`` fields, filled from each run of
+    ``width`` in ``fields`` and joined as list items at indentation ``nl``.
+
+    One template fills a block of _BLOCK records; a shorter last block, or
+    a list shorter than one block, takes a template of its own length.
+    """
+    sep = "," + nl
+    step = _BLOCK * width
+    full = sep.join([record] * _BLOCK) if len(fields) >= step else ""
+    out = []
+    for i in range(0, len(fields), step):
+        block = fields[i:i + step]
+        template = full if len(block) == step else sep.join([record] * (len(block) // width))
+        out.append(template % tuple(block))
+    return sep.join(out)
 
 
 def _items(values: list, nl: str) -> list[str]:

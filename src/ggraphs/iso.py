@@ -127,6 +127,7 @@ def _first_leaf(mg: Multigraph, adj: list[dict[int, int]] | None = None) -> tupl
     individualizes the first vertex of each target cell.  Its nodes are
     charged to a budget of NODE_BUDGET, like any search."""
     search = _Canonicalizer(mg, adj=adj)
+    search.what = "isomorphism search"
     colors, cells = search._root()
     search._visit()
     while len(cells) < search.n:
@@ -170,6 +171,8 @@ class _Canonicalizer:
         self.n = mg.n
         self.edges = mg.edges
         self.goal = goal
+        # the search a budget overrun names; _first_leaf's path is one too
+        self.what = "canonical labeling" if goal is None else "isomorphism search"
         self.adj = adj or mg.adjacency()
         self.rows = [tuple(row.items()) for row in self.adj]
         # a (color, multiplicity) pair packed as color * scale + m sorts
@@ -291,7 +294,7 @@ class _Canonicalizer:
         self.nodes_left -= 1
         if self.nodes_left < 0:
             raise TooLargeError(
-                f"canonical labeling exceeds its budget of {NODE_BUDGET} search nodes"
+                f"{self.what} exceeds its budget of {NODE_BUDGET} search nodes"
             )
 
     @staticmethod

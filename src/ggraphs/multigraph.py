@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidParameterError, InvalidPartitionError, SizeLimitError
@@ -25,7 +26,7 @@ def check_partition(n: int, classes: Sequence[Sequence[int]]) -> None:
     """Refuse classes that are empty or do not cover ``0..n-1`` exactly once."""
     if any(len(cls) == 0 for cls in classes):
         raise InvalidPartitionError("partition has an empty class")
-    if sorted(v for cls in classes for v in cls) != list(range(n)):
+    if sorted(chain.from_iterable(classes)) != list(range(n)):
         raise InvalidPartitionError("partition must cover every vertex exactly once")
 
 

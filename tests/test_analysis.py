@@ -10,6 +10,7 @@ from ggraphs import (
     sl2z_ball,
 )
 from ggraphs.io import document_from_ball, document_from_ggraph, dumps, loads
+from ggraphs.multigraph import Multigraph
 
 
 def test_s3_transpositions_is_eulerian():
@@ -33,6 +34,21 @@ def test_sd16_is_eulerian():
     report = analyze(cat.ggraph_of("sd16_ab"))
     assert report.eulerian
     assert sorted(report.class_degrees) == [2, 8]
+
+
+def test_analyze_reads_the_edges_once(monkeypatch):
+    # the degrees come from the one adjacency that the traversal reads too
+    calls = []
+    adjacency = Multigraph.adjacency
+    monkeypatch.setattr(
+        Multigraph, "adjacency", lambda self: calls.append("adjacency") or adjacency(self)
+    )
+    monkeypatch.setattr(
+        Multigraph, "weighted_degrees", lambda self: calls.append("weighted_degrees")
+    )
+    report = analyze(cat.ggraph_of("dihedral10_rs"))
+    assert calls == ["adjacency"]
+    assert sorted(report.class_degrees) == [2, 5]
 
 
 @pytest.mark.parametrize("name", cat.CATALOG_NAMES)

@@ -9,6 +9,7 @@ that fix the bytes even if a later Python changes its encoder.
 
 import hashlib
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ import pytest
 import fixture_catalog as cat
 from ggraphs import build_ggraph, make_gen_sequence, make_symmetric, sl2z_ball
 from ggraphs.io import (
+    _BLOCK,
+    _BULK_EDGES,
+    _BULK_VERTICES,
     GraphDocument,
     document_from_ball,
     document_from_ggraph,
@@ -152,3 +156,56 @@ if st is not None:
     @given(st.one_of(documents, documents, values, st.lists(records, max_size=5)))
     def test_dumps_matches_the_stdlib(value):
         assert dumps(value) == _stdlib(value)
+
+    # lengths at both ends of the per-record writers and of one and two blocks
+    lengths = st.sampled_from([
+        1, _BULK_VERTICES - 1, _BULK_VERTICES, _BULK_EDGES - 1, _BULK_EDGES,
+        _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+    ]) | st.integers(1, 2 * _BLOCK + 76)
+
+    # one record that sends a class to the per-record writer, or (a huge id)
+    # that the templates write too
+    odd_vertices = st.sampled_from([
+        lambda r: {**r, "id": True},
+        lambda r: {**r, "id": 2**70},
+        lambda r: {**r, "coset_labels": r["coset_labels"][:-1] + [7]},
+        lambda r: {**r, "coset_labels": r["coset_labels"] + ["x"]},
+        lambda r: {**r, "interior": False},
+        lambda r: OrderedDict(r),
+    ])
+
+    @st.composite
+    def coset_classes(draw):
+        """One class of a coset graph's vertex records: an int id and k str
+        labels each; in a drawn minority, one odd record."""
+        k = draw(st.integers(1, 4))
+        pool = draw(st.lists(text, min_size=1, max_size=6))
+        first = draw(st.integers(0, 2**40))
+        records = [
+            {"id": first + i, "coset_labels": [pool[(i + j) % len(pool)] for j in range(k)]}
+            for i in range(draw(lengths))
+        ]
+        if draw(st.integers(0, 2)) == 0:
+            at = draw(st.integers(0, len(records) - 1))
+            records[at] = draw(odd_vertices)(records[at])
+        return records
+
+    @st.composite
+    def edge_lists(draw):
+        """Int edge triples; in a drawn minority, one value that is not an int."""
+        triples = [(i, i + 1 + i % 7, 1 + i % 3) for i in range(draw(lengths))]
+        if draw(st.integers(0, 2)) == 0:
+            at = draw(st.integers(0, len(triples) - 1))
+            odd = list(triples[at])
+            odd[draw(st.integers(0, 2))] = draw(st.one_of(st.booleans(), st.floats(), text))
+            triples[at] = tuple(odd)
+        return triples
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(coset_classes(), edge_lists())
+    def test_dumps_writes_long_lists_as_the_stdlib(vertices, edges):
+        doc = GraphDocument(
+            "ggraph", [{"label": "a", "gen_order": 2, "vertices": vertices}], edges
+        )
+        assert dumps(vertices) == _stdlib(vertices)
+        assert dumps(doc) == _stdlib(doc)

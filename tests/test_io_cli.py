@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from ggraphs import (
 )
 from ggraphs.cli import main
 from ggraphs.io import (
+    GraphDocument,
     document_from_ball,
     document_from_ggraph,
     document_from_multigraph,
@@ -441,6 +443,65 @@ def test_document_must_be_an_object():
         with pytest.raises(InvalidInputError):
             loads(text)
     assert loads(json.dumps(_ONE_EDGE)).to_multigraph().edge_multiplicity_total() == 1
+
+
+def test_dict_subclass_records_are_loaded():
+    # as json.loads(text, object_pairs_hook=OrderedDict) gives them; such an
+    # edge record passed every check and was then dropped
+    data = json.loads(json.dumps(_ONE_EDGE), object_pairs_hook=OrderedDict)
+    doc = GraphDocument.from_dict(data)
+    assert doc.edges == [(0, 1, 1)]
+    assert doc.to_multigraph().edge_multiplicity_total() == 1
+
+
+class _Labels(list):
+    pass
+
+
+class _Label(str):
+    pass
+
+
+# one vertex record of a long class, replaced: each is refused or taken
+ODD_VERTICES = {
+    "bool id": lambda r: {**r, "id": True},
+    "no id": lambda r: {"coset_labels": r["coset_labels"]},
+    "str id": lambda r: {**r, "id": "70"},
+    "huge id": lambda r: {**r, "id": 2**70},
+    "int label": lambda r: {**r, "coset_labels": ["a", 1]},
+    "str labels": lambda r: {**r, "coset_labels": "ab"},
+    "tuple labels": lambda r: {**r, "coset_labels": ("a", "b")},
+    "null labels": lambda r: {**r, "coset_labels": None},
+    "no labels": lambda r: {"id": r["id"]},
+    "empty labels": lambda r: {**r, "coset_labels": []},
+    "list subclass": lambda r: {**r, "coset_labels": _Labels(["a", "b"])},
+    "str subclass": lambda r: {**r, "coset_labels": [_Label("a")]},
+    "dict subclass": OrderedDict,
+    "list record": lambda r: [r["id"]],
+}
+
+
+@pytest.mark.parametrize("odd", ODD_VERTICES.values(), ids=ODD_VERTICES)
+def test_a_long_class_loads_as_record_by_record(monkeypatch, odd):
+    # a class past _BULK_VERTICES is checked at C speed, and must give what the
+    # record-by-record check gives: the same document or the same message
+    vertices = [{"id": i, "coset_labels": [f"x{i}", "y"]} for i in range(100)]
+    vertices[70] = odd(vertices[70])
+    data = {
+        "schema_version": "1", "kind": "ggraph", "metadata": {},
+        "partitions": [{"label": "a", "gen_order": 2, "vertices": vertices}],
+        "edges": [{"u": 0, "v": 1, "multiplicity": 1}],
+    }
+
+    def outcome():
+        try:
+            return GraphDocument.from_dict(data).to_dict()
+        except InvalidInputError as exc:
+            return str(exc)
+
+    fast = outcome()
+    monkeypatch.setattr("ggraphs.io._BULK_VERTICES", len(vertices) + 1)
+    assert outcome() == fast
 
 
 @pytest.mark.parametrize("metadata", [[], 5, None, "x"], ids=["list", "int", "null", "str"])

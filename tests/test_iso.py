@@ -526,13 +526,26 @@ def test_node_budget_raises_too_large(monkeypatch):
         canonical_form(hypercube_graph(4))
 
 
+def test_a_budget_overrun_names_the_search(monkeypatch):
+    q4 = hypercube_graph(4)
+    goal = _first_leaf(q4)
+    monkeypatch.setattr("ggraphs.iso.NODE_BUDGET", 1)
+    with pytest.raises(TooLargeError, match="^canonical labeling exceeds its budget of 1 "):
+        canonical_form(q4)
+    # an isomorphism test's first-leaf path, and its goal search
+    with pytest.raises(TooLargeError, match="^isomorphism search exceeds its budget of 1 "):
+        _first_leaf(q4)
+    with pytest.raises(TooLargeError, match="^isomorphism search exceeds its budget of 1 "):
+        _Canonicalizer(q4, goal).run()
+
+
 def test_analyze_exits_2_when_the_node_budget_runs_out(monkeypatch, capsys):
     # analyze names the cube through recognize_family, whose path to the
     # reference Q3's first leaf takes more than one node
     monkeypatch.setattr("ggraphs.iso.NODE_BUDGET", 1)
     assert main(["analyze", str(FIXDIR / "cube.edges")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: canonical labeling exceeds its budget")
+    assert err.startswith("error: isomorphism search exceeds its budget")
     assert "Traceback" not in err
 
 
