@@ -15,7 +15,7 @@ _LAZY = {
     "analysis": ("StructureReport", "analyze", "check_subgroup_subgraph"),
     "characterize": (
         "ACCEPT", "REFUSE", "UNDETERMINED", "CharacterizationVerdict", "characterize",
-        "characterize_bipartite", "turan_verdict", "witness_search",
+        "characterize_bipartite", "turan_verdict",
     ),
     "cli": (),
     "errors": (
@@ -40,6 +40,7 @@ _LAZY = {
         "AdjMatrix", "MatrixDiagnostics", "SpectrumReport", "adjacency_from_multigraph",
         "adjacency_matrix", "matrix_csv", "matrix_diagnostics", "spectrum",
     ),
+    "witness": ("witness_search",),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = list(_OWNER)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .ggraph import build_ggraph
 from .multigraph import as_multigraph
 
-# groups loads numpy, so it is imported inside the functions that use a group
+# ggraph and groups (which loads numpy) are imported inside the one function
+# that builds a graph, so ``analyze`` loads neither
 if TYPE_CHECKING:
     from .groups import GenSequence, GroupTable
 
@@ -85,6 +85,7 @@ def check_subgroup_subgraph(
     and the mapped edges are the edges the big graph induces on them, with
     equal multiplicities.
     """
+    from .ggraph import build_ggraph
     from .groups import make_gen_sequence, subgroup_table
 
     h_positions = list(h_positions)

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import io as gio
 from .errors import GGraphError, NotAGeneratingSetError
+from .multigraph import SIZE_BOUND
 
 # Each command imports the layers it runs, so a process loads only those;
 # groups and spectral would also bring numpy.
@@ -133,6 +134,10 @@ def load_graph_input(path: str) -> Multigraph:
 
 
 def cmd_build(args) -> int:
+    if args.out and args.format == "json":
+        # compiled after numpy, the writer raises this process's peak RSS
+        # (by about 0.4 MB for sym:6); compiled before, it does not
+        from . import _write  # noqa: F401
     from .ggraph import build_ggraph, predicted_stats
     from .groups import make_gen_sequence
 
@@ -174,12 +179,16 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import analyze
-    from .iso import SIZE_BOUND, recognize_family
-
+    # an input that fails to load ends the command before analysis loads
     mg = load_graph_input(args.input)
+    from .analysis import analyze
+
     report = analyze(mg)
-    family = recognize_family(mg) if mg.n <= SIZE_BOUND else None
+    family = None
+    if mg.n <= SIZE_BOUND:
+        from .iso import recognize_family
+
+        family = recognize_family(mg)
     print(f"vertices: {mg.n}  edge multiplicity: {mg.edge_multiplicity_total()}")
     print(f"connected: {report.connected}")
     print(f"eulerian: {report.eulerian}")
@@ -200,9 +209,14 @@ def cmd_analyze(args) -> int:
 def _parse_partition(text: str) -> list[list[int]]:
     classes = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            classes.append([int(tok) for tok in chunk.replace(",", " ").split()])
+        ids = []
+        for tok in chunk.replace(",", " ").split():
+            try:
+                ids.append(int(tok))
+            except ValueError:
+                raise ValueError(f"--partition: {tok!r} is not a vertex id") from None
+        if ids:
+            classes.append(ids)
     return classes
 
 

@@ -42,12 +42,12 @@ from typing import NamedTuple
 
 from .errors import TooLargeError
 from .multigraph import (
+    SIZE_BOUND,
     Multigraph,
     as_multigraph,
     hypercube_graph,
 )
 
-SIZE_BOUND = 64
 # Search nodes (leaves included) one search may visit.  A search in the test
 # suite needs at most 560 and one in the recognize benchmark at most 24 (seeds
 # 1-10), where a path to a first leaf is at most 13 nodes deep; graphs of

@@ -9,6 +9,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import InvalidParameterError, InvalidPartitionError, SizeLimitError
 
 VERTEX_LIMIT = 100_000
+# most vertices the isomorphism search and the coloring search take
+SIZE_BOUND = 64
 # most edge units (the sum of multiplicities) a coset graph or DOT export holds
 MULTIPLICITY_LIMIT = 1_000_000
 

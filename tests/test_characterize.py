@@ -725,7 +725,7 @@ def test_witness_octahedron():
 
 
 def test_witness_k28_includes_semidihedral():
-    from ggraphs.characterize import _witnesses
+    from ggraphs.witness import _witnesses
 
     target = complete_bipartite(2, 8)
     verdict = characterize(target)
@@ -753,7 +753,7 @@ def test_witness_none_for_refusals():
 def test_witness_none_past_the_catalog_order_bound():
     # K_{2,2} with every edge 2501-fold: ACCEPT with |G| = 10004, above
     # CLOSURE_LIMIT, so no catalog group can be built
-    from ggraphs.characterize import _witnesses
+    from ggraphs.witness import _witnesses
 
     target = complete_bipartite(2, 2, mult=2501)
     verdict = characterize(target)
@@ -774,7 +774,7 @@ def test_witness_none_for_malformed_verdicts(group_order, gen_orders):
 
 
 def test_catalog_builds_each_abelian_group_once():
-    from ggraphs.characterize import _catalog_groups
+    from ggraphs.witness import _catalog_groups
 
     def abelian(n):
         return [e.group.family_tag for e in _catalog_groups(n)
@@ -799,7 +799,7 @@ def _order_histogram(group):
 def test_catalog_entries_differ_in_element_order_histograms():
     # isomorphic groups share a histogram; a repeated entry would make
     # witness_search build and scan the same graphs twice
-    from ggraphs.characterize import _catalog_groups
+    from ggraphs.witness import _catalog_groups
 
     for n in range(1, 65):
         histograms = [_order_histogram(e.group) for e in _catalog_groups(n)]
@@ -812,7 +812,7 @@ def test_catalog_keeps_every_family_member_up_to_isomorphism():
     # not leave out a distinct group
     import math
 
-    from ggraphs.characterize import _catalog_groups
+    from ggraphs.witness import _catalog_groups
     from ggraphs.groups import (
         make_alternating,
         make_dihedral,
@@ -841,7 +841,7 @@ def test_catalog_keeps_every_family_member_up_to_isomorphism():
 
 def test_witness_k2_12_includes_semidihedral():
     # SD24 = Z4 x S3 is no other catalog entry of order 24
-    from ggraphs.characterize import _witnesses
+    from ggraphs.witness import _witnesses
 
     target = complete_bipartite(2, 12)
     hits = list(_witnesses(characterize(target), target, 10**6))
@@ -857,7 +857,7 @@ def _reference_witness_search(verdict, target, *, all_matches=False, max_sequenc
     over groups built afresh."""
     from itertools import product
 
-    from ggraphs.characterize import _catalog_makers
+    from ggraphs.witness import _catalog_makers
     from ggraphs.errors import NotAGeneratingSetError
     from ggraphs.groups import (
         CLOSURE_LIMIT,
@@ -921,7 +921,7 @@ def _witness_key(result):
 
 
 def _assert_witness_matches_reference(verdict, target):
-    from ggraphs.characterize import _witnesses
+    from ggraphs.witness import _witnesses
 
     first = _witness_key(witness_search(verdict, target))
     assert first == _witness_key(_reference_witness_search(verdict, target))
@@ -1018,7 +1018,7 @@ def test_witness_on_z10000_exhausts_its_budget_quickly():
     # the 10^6 budget; per-element order loops took 98 s here
     import time
 
-    from ggraphs.characterize import _catalog_memo
+    from ggraphs.witness import _catalog_memo
 
     small = complete_bipartite(3, 3)
     witness_search(characterize(small), small)
@@ -1037,7 +1037,7 @@ def test_witness_on_z10000_exhausts_its_budget_quickly():
 def test_catalog_memo_order_bound_keeps_it_within_4_mib():
     # every catalog group the memo can hold, kept at once, holds at most
     # 2^20 table cells (4 MiB of int32 tables)
-    from ggraphs.characterize import CATALOG_MEMO_ORDER, _catalog_makers
+    from ggraphs.witness import CATALOG_MEMO_ORDER, _catalog_makers
 
     cells = sum(
         n * n * len(list(_catalog_makers(n))) for n in range(1, CATALOG_MEMO_ORDER + 1)
@@ -1048,7 +1048,7 @@ def test_catalog_memo_order_bound_keeps_it_within_4_mib():
 def test_catalog_memo_keeps_no_group_past_its_order_bound():
     # K2 with one 720-fold edge: |G| = 720 and orders (720, 720); the scan
     # builds all 14 catalog groups of order 720 and keeps none of them
-    from ggraphs.characterize import _catalog_memo, _witnesses
+    from ggraphs.witness import _catalog_memo, _witnesses
 
     small = complete_bipartite(3, 3)
     witness_search(characterize(small), small)
@@ -1068,7 +1068,7 @@ def test_catalog_memo_filled_from_threads():
     import sys
     import threading
 
-    from ggraphs.characterize import _catalog_memo, _fill, _witnesses
+    from ggraphs.witness import _catalog_memo, _fill, _witnesses
 
     targets = [
         complete_bipartite(2, 8), complete_bipartite(3, 3), octahedron_graph(),

@@ -45,25 +45,30 @@ EXPORTED = [
 REMOVED = ["structure_report", "AffElem", "Mat2Z"]
 
 # Runs the CLI in-process and reports its exit code, whether numpy and
-# dataclasses loaded and which ggraphs submodules did.
+# dataclasses loaded and which ggraphs submodules did; "order" lists numpy and
+# those submodules in the order they loaded.
 CLI_PROBE = """
 import json, sys
 from ggraphs.cli import main
 code = main(sys.argv[1:])
-modules = sorted(name[len("ggraphs."):] for name in sys.modules if name.startswith("ggraphs."))
+order = [name for name in sys.modules if name == "numpy" or name.startswith("ggraphs.")]
+modules = sorted(name[len("ggraphs."):] for name in order if name != "numpy")
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "dataclasses": "dataclasses" in sys.modules, "modules": modules}))
+                  "dataclasses": "dataclasses" in sys.modules, "modules": modules,
+                  "order": order}))
 """
 
 # The submodules each command must not load.  Every process of a command
 # compiles and runs each module it imports, so a top-level import that brings
-# one of these back slows every such command.
+# one of these back slows every such command.  ``_write`` is the JSON writer,
+# which only a command that writes JSON needs; ``witness`` (with ``ggraph``
+# and ``iso``) is the witness search, which no command runs.
 NOT_LOADED = {
-    "export-dot": {"analysis", "characterize", "ggraph", "infinite", "iso"},
-    "infinite": {"analysis", "characterize", "ggraph", "iso"},
-    "analyze": {"characterize", "infinite"},
-    "characterize": {"analysis", "infinite"},
-    "spectrum": {"characterize", "iso"},
+    "export-dot": {"_write", "analysis", "characterize", "ggraph", "infinite", "iso", "witness"},
+    "infinite": {"analysis", "characterize", "ggraph", "iso", "witness"},
+    "analyze": {"_write", "characterize", "ggraph", "infinite", "witness"},
+    "characterize": {"_write", "analysis", "ggraph", "infinite", "iso", "witness"},
+    "spectrum": {"characterize", "iso", "witness"},
 }
 
 
@@ -141,6 +146,33 @@ def test_group_and_spectral_commands_still_run(tmp_path, bare_loads_dataclasses,
     assert (result["code"], result["numpy"]) == (0, True)
     assert bare_loads_dataclasses or result["dataclasses"] is False
     assert not NOT_LOADED.get(argv[0], set()) & set(result["modules"]), result["modules"]
+    if argv[0] == "build":
+        # compiling the writer after numpy would raise the process's peak memory
+        order = result["order"]
+        assert order.index("ggraphs._write") < order.index("numpy"), order
+
+
+# analyze reads its input before it loads the analysis, and recognizes a
+# family, which loads iso, only up to SIZE_BOUND vertices
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["analyze", "missing.json"], 2, set()),
+        (["analyze", "path.edges"], 0, {"analysis"}),
+        (["analyze", "{fixtures}/cube.edges"], 0, {"analysis", "iso"}),
+    ],
+    ids=["missing_file", "above_size_bound", "within_size_bound"],
+)
+def test_analyze_loads_iso_only_within_the_size_bound(tmp_path, argv, code, loaded):
+    from ggraphs.multigraph import SIZE_BOUND
+
+    # a path on SIZE_BOUND + 1 vertices
+    lines = [f"{v} {v + 1}" for v in range(SIZE_BOUND)]
+    (tmp_path / "path.edges").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [arg.format(fixtures=FIXDIR) for arg in argv]
+    result = _python(CLI_PROBE, *argv, cwd=tmp_path)
+    assert result["code"] == code
+    assert set(result["modules"]) & {"analysis", "iso"} == loaded, result["modules"]
 
 
 def test_every_exported_name_resolves():
@@ -226,10 +258,13 @@ def test_star_import_binds_every_exported_name(tmp_path):
 
 def test_lazy_submodules_resolve_as_attributes(tmp_path):
     names = ["groups", "spectral", "analysis", "iso", "infinite", "ggraph", "multigraph",
-             "errors"]
+             "errors", "witness"]
     code = ("import json, ggraphs; "
             f"print(json.dumps([getattr(ggraphs, name).__name__ for name in {names!r}]))")
     assert _python(code, cwd=tmp_path) == [f"ggraphs.{name}" for name in names]
+    assert ggraphs.witness_search.__module__ == "ggraphs.witness"
+    # SIZE_BOUND moved to multigraph; iso still answers for it
+    assert ggraphs.iso.SIZE_BOUND is ggraphs.multigraph.SIZE_BOUND
 
 
 def test_import_ggraphs_loads_no_submodule(tmp_path):

@@ -231,6 +231,20 @@ def test_cli_characterize_explicit_partition(capsys):
     assert "group order: 4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "partition, token",
+    [("a b", "a"), ("0 1; 2 x; 4 5", "x"), ("0,1;2,3;4,5.0", "5.0")],
+    ids=["letters", "one_bad_token", "float"],
+)
+def test_cli_partition_names_the_token_that_is_no_vertex_id(capsys, partition, token):
+    # this exited 2 with int()'s own message, "invalid literal for int() ..."
+    code = main([
+        "characterize", str(FIXDIR / "octahedron.edges"), "--partition", partition,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --partition: {token!r} is not a vertex id\n"
+
+
 def test_cli_spectrum_octahedron(capsys):
     assert main(["spectrum", str(FIXDIR / "octahedron.edges")]) == 0
     payload = json.loads(capsys.readouterr().out)
