@@ -1,10 +1,7 @@
 """The canonical JSON writer behind ``ggraphs.io.dumps``.
 
 It lives apart from ``io`` so that a command that only reads a graph
-(``analyze``, ``characterize``, ``export-dot``) does not compile it.  The
-list sizes it switches on, ``_BULK_VERTICES``, ``_BULK_EDGES`` and
-``_BLOCK``, are defined in ``io``, whose read side checks vertex records in
-bulk from ``_BULK_VERTICES`` on as well.
+(``analyze``, ``characterize``, ``export-dot``) does not compile it.
 """
 
 from __future__ import annotations
@@ -15,7 +12,10 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
 
-from .io import _BLOCK, _BULK_EDGES, _BULK_VERTICES, GraphDocument
+from .io import GraphDocument
+
+# records per template: bounds the template and its argument tuple
+_BLOCK = 512
 
 
 def dumps(value) -> str:
@@ -24,21 +24,18 @@ def dumps(value) -> str:
     document stands for its ``to_dict()``.
 
     CPython's C encoder does not indent, so the stdlib would write every
-    document in pure Python.  Here two kinds of list are written a block
-    of at most _BLOCK records at a time, by one ``%`` template per block,
-    once every value has been gathered and type-checked at C speed:
+    document in pure Python.  Here every list of like records, at any
+    length, is written a block of at most _BLOCK records at a time, by one
+    ``%`` template per block, once its values have been gathered and
+    type-checked at C speed:
 
-    * a document's edge triples, when there are at least _BULK_EDGES and
-      every one is three ints;
-    * a list of at least _BULK_VERTICES vertex records that each hold
-      exactly an int ``id`` and ``coset_labels``, k >= 1 str labels for
-      one k (a long class of a coset graph).
+    * a document's edge triples, when every one is three ints;
+    * a list of vertex records of one shape: each holds exactly an int
+      ``id``, ``coset_labels`` that are null in every record or k >= 1 str
+      labels for one k, and a bool ``interior`` in every record or in none.
 
-    Any other list, such as a shorter one or a ball's or a plain graph's
-    vertices, is written whole by the per-record writer: a template for
-    each vertex record with null or str labels and an optional bool
-    ``interior``, and the stdlib for every other record.  A str, int, bool
-    or null is written as the stdlib writes it, and every other value by
+    Any other list is written item by item.  A str, int, bool or null is
+    written as the stdlib writes it, and every other value by
     ``json.dumps`` itself, re-indented to its depth.
     """
     if not isinstance(value, GraphDocument):
@@ -56,8 +53,6 @@ def dumps(value) -> str:
     ) + "\n}\n"
 
 
-_VERTEX_KEYS = {"coset_labels", "id"}
-_BALL_VERTEX_KEYS = {"coset_labels", "id", "interior"}
 # The stdlib's text for a value of exactly these types, at any depth: a
 # json.dumps call for each label, order and generator name would add about
 # 20 µs to a small coset graph's document, 1-2 % of its construct job.
@@ -82,82 +77,73 @@ def _encode(value, nl: str) -> str:
             for key, item in sorted(value.items())
         ]) + nl + "}"
     if type(value) is list and value:
-        body = _coset_vertices(value, inner)
+        body = _vertices(value, inner)
         if body is None:
-            body = ("," + inner).join(_items(value, inner))
+            body = ("," + inner).join([_encode(x, inner) for x in value])
         return "[" + inner + body + nl + "]"
     # json strings hold no raw line break, so re-indenting is exact
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _edges(triples: list, nl: str) -> str:
-    """The edge records of ``triples`` as a list at indentation ``nl``.
-
-    When there are at least _BULK_EDGES triples and every one is three ints,
-    they fill the template a block at a time; otherwise each triple is
-    written in turn, and one that is not three ints as its record by the
-    stdlib.
-    """
-    if not triples:
-        return "[]"
+    """The edge records of ``triples`` as a list at indentation ``nl``: by
+    the template when every triple is three ints, and otherwise as records
+    written item by item."""
+    try:  # raises unless every triple has three items
+        us, vs, ms = zip(*triples, strict=True)
+    except (TypeError, ValueError):
+        us = None
+    if us is None or not {int} == set(map(type, us)) == set(map(type, vs)) == set(map(type, ms)):
+        return _encode([{"u": u, "v": v, "multiplicity": m} for u, v, m in triples], nl)
     inner = nl + "  "
     i2 = inner + "  "
     edge = "{" + i2 + '"multiplicity": %d,' + i2 + '"u": %d,' + i2 + '"v": %d' + inner + "}"
-    us = None
-    if len(triples) >= _BULK_EDGES:
-        try:  # raises unless every triple has three items
-            us, vs, ms = zip(*triples, strict=True)
-        except (TypeError, ValueError):
-            pass
-    if us is not None and {int} == set(map(type, us)) == set(map(type, vs)) == set(map(type, ms)):
-        fields = [None] * (3 * len(triples))
-        fields[0::3] = ms
-        fields[1::3] = us
-        fields[2::3] = vs
-        return "[" + inner + _fill(edge, fields, 3, inner) + nl + "]"
-    out = []
-    for u, v, m in triples:
-        if type(u) is int and type(v) is int and type(m) is int:
-            out.append(edge % (m, u, v))
-        else:
-            out.append(_encode({"u": u, "v": v, "multiplicity": m}, inner))
-    return "[" + inner + ("," + inner).join(out) + nl + "]"
+    fields = [None] * (3 * len(triples))
+    fields[0::3] = ms
+    fields[1::3] = us
+    fields[2::3] = vs
+    return "[" + inner + _fill(edge, fields, 3, inner) + nl + "]"
 
 
-def _coset_vertices(records: list, nl: str) -> Optional[str]:
-    """The items, at indentation ``nl``, of a list of vertex records that
-    each hold exactly an int ``id`` and ``coset_labels``, k >= 1 str labels
-    for one k; None for any other list."""
-    if (len(records) < _BULK_VERTICES or set(map(type, records)) != {dict}
-            or set(map(len, records)) != {2}):
+def _vertices(records: list, nl: str) -> Optional[str]:
+    """The items, at indentation ``nl``, of a list of vertex records of one
+    shape (see ``dumps``); None for any other list."""
+    if set(map(type, records)) != {dict} or set(map(len, records)) not in ({2}, {3}):
         return None
-    try:  # with two keys each, both found means no other key
+    try:  # with two or three keys each, all found means no other key
         ids = list(map(itemgetter("id"), records))
         labels = list(map(itemgetter("coset_labels"), records))
+        flags = list(map(itemgetter("interior"), records)) if len(records[0]) == 3 else []
     except KeyError:
         return None
-    if set(map(type, ids)) != {int} or set(map(type, labels)) != {list}:
+    if set(map(type, ids)) != {int} or not set(map(type, flags)) <= {bool}:
         return None
-    sizes = set(map(len, labels))
-    if len(sizes) != 1 or 0 in sizes:
-        return None
-    (k,) = sizes
-    try:  # encode_basestring_ascii raises TypeError on a non-str label
-        encoded = list(map(encode_basestring_ascii, chain.from_iterable(labels)))
-    except TypeError:
-        return None
-    # each record's k labels, then its id
-    fields = [None] * (len(records) * (k + 1))
-    for i in range(k):
-        fields[i::k + 1] = encoded[i::k]
-    fields[k::k + 1] = ids
+    kinds = set(map(type, labels))
+    k = len(labels[0]) if kinds == {list} else 0
     i2 = nl + "  "
-    i3 = i2 + "  "
-    record = (
-        "{" + i2 + '"coset_labels": [' + i3 + ("," + i3).join(["%s"] * k)
-        + i2 + "]," + i2 + '"id": %d' + nl + "}"
-    )
-    return _fill(record, fields, k + 1, nl)
+    columns = [ids]
+    if k and set(map(len, labels)) == {k}:
+        i3 = i2 + "  "
+        try:  # encode_basestring_ascii raises TypeError on a non-str label
+            encoded = list(map(encode_basestring_ascii, chain.from_iterable(labels)))
+        except TypeError:
+            return None
+        # each record's labels joined, k at a time by zip over one iterator
+        columns.insert(0, list(map(("," + i3).join, zip(*[iter(encoded)] * k))))
+        text = "[" + i3 + "%s" + i2 + "]"
+    elif kinds == {type(None)}:
+        text = "null"
+    else:
+        return None
+    record = "{" + i2 + '"coset_labels": ' + text + "," + i2 + '"id": %d'
+    if flags:
+        record += "," + i2 + '"interior": %s'
+        columns.append(list(map(_SCALARS[bool], flags)))
+    width = len(columns)
+    fields = [None] * (len(ids) * width)
+    for i, column in enumerate(columns):
+        fields[i::width] = column
+    return _fill(record + nl + "}", fields, width, nl)
 
 
 def _fill(record: str, fields: list, width: int, nl: str) -> str:
@@ -176,42 +162,3 @@ def _fill(record: str, fields: list, width: int, nl: str) -> str:
         template = full if len(block) == step else sep.join([record] * (len(block) // width))
         out.append(template % tuple(block))
     return sep.join(out)
-
-
-def _items(values: list, nl: str) -> list[str]:
-    """The list items, each at indentation ``nl``."""
-    out = []
-    for x in values:
-        if type(x) is dict and (x.keys() == _VERTEX_KEYS or x.keys() == _BALL_VERTEX_KEYS):
-            text = _vertex(x, nl)
-            if text is not None:
-                out.append(text)
-                continue
-        out.append(_encode(x, nl))
-    return out
-
-
-def _vertex(x: dict, nl: str) -> Optional[str]:
-    """A vertex record with int id, null (as in plain documents) or
-    non-empty str labels and an optional bool ``interior``; None for any
-    other record."""
-    vid, labels = x["id"], x["coset_labels"]
-    interior = x.get("interior", False)
-    if type(vid) is not int or type(interior) is not bool:
-        return None
-    i2 = nl + "  "
-    if labels is None:
-        text = "{" + i2 + '"coset_labels": null,'
-    elif type(labels) is list and labels:
-        i3 = i2 + "  "
-        try:  # encode_basestring_ascii raises TypeError on a non-str label
-            joined = ("," + i3).join(map(encode_basestring_ascii, labels))
-        except TypeError:
-            return None
-        text = "{" + i2 + '"coset_labels": [' + i3 + joined + i2 + "],"
-    else:
-        return None
-    text += i2 + '"id": %d' % vid
-    if "interior" in x:
-        text += "," + i2 + ('"interior": true' if interior else '"interior": false')
-    return text + nl + "}"

@@ -10,16 +10,18 @@ Vertex ids are dense from 0 and every edge record has u < v.  Serialization
 is canonical: exactly ``json.dumps(doc.to_dict(), sort_keys=True, indent=2)``
 plus a newline, so equal documents produce identical bytes.  ``dumps`` hands
 the writing to ``ggraphs._write``, imported on its first call, so a command
-that only reads a graph never compiles the writer.  In memory a document
-holds its edges as ``(u, v, multiplicity)`` triples, as ``GGraph`` and
-``BallGraph`` do; the record ``{"u", "v", "multiplicity"}`` exists only in
-the JSON text.
+that only reads a graph never compiles the writer.  Reading checks every
+class of vertex records at C speed, and record by record only when that
+check fails.  In memory a document holds its edges as ``(u, v,
+multiplicity)`` triples, as ``GGraph`` and ``BallGraph`` do; the record
+``{"u", "v", "multiplicity"}`` exists only in the JSON text.
 
 Edge-list text format: one ``u v [multiplicity]`` line per edge, 0-based
 vertex ids, ``#`` starts a comment.  Optional ``partition: id id ...`` header
 lines declare one partition class each (all vertices or none must be
-covered).  The graph is sized from the largest id, so ids at or above
-``multigraph.VERTEX_LIMIT`` are refused.
+covered).  A token that is not an int id >= 0 or multiplicity >= 1 is
+refused with its line.  The graph is sized from the largest id, so ids at or
+above ``multigraph.VERTEX_LIMIT`` are refused.
 """
 
 from __future__ import annotations
@@ -36,13 +38,6 @@ if TYPE_CHECKING:
     from .infinite import BallGraph
 
 SCHEMA_VERSION = "1"
-# Shorter lists are written (by ggraphs._write) and checked record by record:
-# below about 12 vertex records or 90 edge triples, gathering and checking
-# them at C speed costs more than it saves.
-_BULK_VERTICES = 16
-_BULK_EDGES = 128
-# records per template in dumps: bounds the template and its argument tuple
-_BLOCK = 512
 
 _DOT_PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3", "#a6d854",
@@ -156,10 +151,9 @@ class GraphDocument:
 
 def _vertex_ids(vertices: list) -> list[int]:
     """The ids of one class's vertex records, each an int id with null or
-    str labels.  A class of at least _BULK_VERTICES plain dicts and lists is
-    checked at C speed; any other class is checked record by record, which
-    takes a dict or list subclass and names the first record that is wrong."""
-    if len(vertices) >= _BULK_VERTICES and set(map(type, vertices)) <= {dict}:
+    str labels.  A class of plain dicts and lists is checked at C speed; a
+    class that fails that check goes to ``_vertex_ids_by_record``."""
+    if set(map(type, vertices)) <= {dict}:
         ids = list(map(dict.get, vertices, repeat("id")))
         labels = list(map(dict.get, vertices, repeat("coset_labels")))
         if (
@@ -168,6 +162,12 @@ def _vertex_ids(vertices: list) -> list[int]:
             and all(map(isinstance, chain.from_iterable(filter(None, labels)), repeat(str)))
         ):
             return ids
+    return _vertex_ids_by_record(vertices)
+
+
+def _vertex_ids_by_record(vertices: list) -> list[int]:
+    """``_vertex_ids`` one record at a time: it takes a dict or list
+    subclass, and names the first record that is wrong."""
     ids = []
     for vertex in vertices:
         ids.append(_int_field(vertex, "id"))
@@ -300,7 +300,7 @@ def parse_edge_list(text: str) -> Multigraph:
         if not line:
             continue
         if line.startswith("partition:"):
-            ids = [int(tok) for tok in line[len("partition:"):].split()]
+            ids = [_token(tok, lineno) for tok in line[len("partition:"):].split()]
             if not ids:
                 raise InvalidInputError(f"line {lineno}: empty partition class")
             classes.append(ids)
@@ -309,13 +309,24 @@ def parse_edge_list(text: str) -> Multigraph:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise InvalidInputError(f"line {lineno}: expected 'u v [multiplicity]'")
-        u, v = int(parts[0]), int(parts[1])
-        m = int(parts[2]) if len(parts) == 3 else 1
+        u, v = _token(parts[0], lineno), _token(parts[1], lineno)
+        m = _token(parts[2], lineno, "multiplicity", 1) if len(parts) == 3 else 1
         if u == v:
             raise InvalidInputError(f"line {lineno}: loops are not allowed")
         edges.append((u, v, m))
         max_vertex = max(max_vertex, u, v)
     return Multigraph(max_vertex + 1, classes or None, edges)
+
+
+def _token(tok: str, lineno: int, what: str = "vertex id", least: int = 0) -> int:
+    """The int that ``tok`` spells, refused unless it is at least ``least``."""
+    try:
+        value = int(tok)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise InvalidInputError(f"line {lineno}: {tok!r} is not a {what}")
+    return value
 
 
 def format_edge_list(mg: Multigraph) -> str:

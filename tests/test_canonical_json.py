@@ -3,8 +3,9 @@ plus a newline.
 
 ``io.dumps`` writes edge and vertex records itself, so every test here holds
 it to the stdlib encoding: on arbitrary documents (a Hypothesis property), on
-every catalog graph, fixture and an SL2(Z) ball, and on three pinned digests
-that fix the bytes even if a later Python changes its encoder.
+every catalog graph, fixture and an SL2(Z) ball, on each odd vertex record in
+a class of each shape, and on three pinned digests that fix the bytes even if
+a later Python changes its encoder.
 """
 
 import hashlib
@@ -16,10 +17,8 @@ import pytest
 
 import fixture_catalog as cat
 from ggraphs import build_ggraph, make_gen_sequence, make_symmetric, sl2z_ball
+from ggraphs._write import _BLOCK
 from ggraphs.io import (
-    _BLOCK,
-    _BULK_EDGES,
-    _BULK_VERTICES,
     GraphDocument,
     document_from_ball,
     document_from_ggraph,
@@ -86,6 +85,48 @@ def test_pinned_bytes(kind):
     doc = make()
     assert doc.kind == kind
     assert hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest() == digest
+
+
+SHAPES = ("coset", "ball", "plain")
+
+
+def _vertex_class(shape, length, k, pool, first):
+    """``length`` vertex records of one shape: an int id and k str labels
+    from ``pool`` each (a coset graph), with a bool interior too (a ball), or
+    with null labels (a plain graph)."""
+    records = []
+    for i in range(length):
+        labels = [pool[(i + j) % len(pool)] for j in range(k)]
+        records.append({"id": first + i, "coset_labels": None if shape == "plain" else labels})
+        if shape == "ball":
+            records[-1]["interior"] = i % 3 == 0
+    return records
+
+
+# one record that sends a class item by item, or (a huge id) that the
+# template writes too
+ODD_VERTICES = [
+    lambda r: {**r, "id": True},
+    lambda r: {**r, "id": 2**70},
+    lambda r: {**r, "coset_labels": (r["coset_labels"] or ["x"])[:-1] + [7]},
+    lambda r: {**r, "coset_labels": (r["coset_labels"] or []) + ["x"]},
+    lambda r: {**r, "coset_labels": None},
+    lambda r: {**r, "interior": False},
+    lambda r: {**r, "interior": 0},
+    lambda r: {key: r[key] for key in ("id", "coset_labels")},
+    lambda r: OrderedDict(r),
+]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_odd_vertex_record_matches_the_stdlib(shape):
+    # each odd record, first, inside and last, in a short and a two-block class
+    for length in (1, 2, 16, _BLOCK + 1):
+        for at in sorted({0, length // 2, length - 1}):
+            for odd in ODD_VERTICES:
+                records = _vertex_class(shape, length, 2, ["e", "(1 2)", "\u00e9"], 5)
+                records[at] = odd(records[at])
+                assert dumps(records) == _stdlib(records)
 
 
 if st is not None:
@@ -157,37 +198,26 @@ if st is not None:
     def test_dumps_matches_the_stdlib(value):
         assert dumps(value) == _stdlib(value)
 
-    # lengths at both ends of the per-record writers and of one and two blocks
+    # short lengths, which the templates write too, and both ends of one and
+    # two blocks
     lengths = st.sampled_from([
-        1, _BULK_VERTICES - 1, _BULK_VERTICES, _BULK_EDGES - 1, _BULK_EDGES,
-        _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+        1, 2, 15, 16, 127, 128, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
     ]) | st.integers(1, 2 * _BLOCK + 76)
-
-    # one record that sends a class to the per-record writer, or (a huge id)
-    # that the templates write too
-    odd_vertices = st.sampled_from([
-        lambda r: {**r, "id": True},
-        lambda r: {**r, "id": 2**70},
-        lambda r: {**r, "coset_labels": r["coset_labels"][:-1] + [7]},
-        lambda r: {**r, "coset_labels": r["coset_labels"] + ["x"]},
-        lambda r: {**r, "interior": False},
-        lambda r: OrderedDict(r),
-    ])
 
     @st.composite
     def coset_classes(draw):
-        """One class of a coset graph's vertex records: an int id and k str
-        labels each; in a drawn minority, one odd record."""
-        k = draw(st.integers(1, 4))
-        pool = draw(st.lists(text, min_size=1, max_size=6))
-        first = draw(st.integers(0, 2**40))
-        records = [
-            {"id": first + i, "coset_labels": [pool[(i + j) % len(pool)] for j in range(k)]}
-            for i in range(draw(lengths))
-        ]
+        """One class of vertex records of one drawn shape; in a drawn
+        minority, one odd record."""
+        records = _vertex_class(
+            draw(st.sampled_from(SHAPES)),
+            draw(lengths),
+            draw(st.integers(1, 4)),
+            draw(st.lists(text, min_size=1, max_size=6)),
+            draw(st.integers(0, 2**40)),
+        )
         if draw(st.integers(0, 2)) == 0:
             at = draw(st.integers(0, len(records) - 1))
-            records[at] = draw(odd_vertices)(records[at])
+            records[at] = draw(st.sampled_from(ODD_VERTICES))(records[at])
         return records
 
     @st.composite
@@ -201,7 +231,7 @@ if st is not None:
             triples[at] = tuple(odd)
         return triples
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(coset_classes(), edge_lists())
     def test_dumps_writes_long_lists_as_the_stdlib(vertices, edges):
         doc = GraphDocument(

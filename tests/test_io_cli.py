@@ -13,6 +13,8 @@ from ggraphs import (
 from ggraphs.cli import main
 from ggraphs.io import (
     GraphDocument,
+    _vertex_ids,
+    _vertex_ids_by_record,
     document_from_ball,
     document_from_ggraph,
     document_from_multigraph,
@@ -155,6 +157,28 @@ def test_partition_headers_must_cover_every_vertex_once(tmp_path, capsys):
             assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.count(
         "error: partition must cover every vertex exactly once\n") == 4
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n1 x\n", "line 2: 'x' is not a vertex id"),
+        ("partition: 0 a\n0 1\n", "line 1: 'a' is not a vertex id"),
+        ("-1 2\n", "line 1: '-1' is not a vertex id"),
+        ("1 2 0\n", "line 1: '0' is not a multiplicity"),
+    ],
+    ids=["letter", "partition_letter", "negative", "zero_multiplicity"],
+)
+def test_edge_list_names_the_line_and_token(tmp_path, capsys, text, message):
+    # these exited 2 with a message that named no line: int()'s own, or the
+    # multigraph's "edge (-1,2) out of range" and "multiplicity must be >= 1"
+    with pytest.raises(InvalidInputError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.edges"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_edge_list_parsing_features():
@@ -496,26 +520,20 @@ ODD_VERTICES = {
 
 
 @pytest.mark.parametrize("odd", ODD_VERTICES.values(), ids=ODD_VERTICES)
-def test_a_long_class_loads_as_record_by_record(monkeypatch, odd):
-    # a class past _BULK_VERTICES is checked at C speed, and must give what the
-    # record-by-record check gives: the same document or the same message
-    vertices = [{"id": i, "coset_labels": [f"x{i}", "y"]} for i in range(100)]
-    vertices[70] = odd(vertices[70])
-    data = {
-        "schema_version": "1", "kind": "ggraph", "metadata": {},
-        "partitions": [{"label": "a", "gen_order": 2, "vertices": vertices}],
-        "edges": [{"u": 0, "v": 1, "multiplicity": 1}],
-    }
-
-    def outcome():
-        try:
-            return GraphDocument.from_dict(data).to_dict()
-        except InvalidInputError as exc:
-            return str(exc)
-
-    fast = outcome()
-    monkeypatch.setattr("ggraphs.io._BULK_VERTICES", len(vertices) + 1)
-    assert outcome() == fast
+def test_a_long_class_loads_as_record_by_record(odd):
+    # every class, a long one and one of one record, is checked at C speed
+    # first, and must give what the record-by-record check gives: the same
+    # ids or the same message
+    for size in (100, 1):
+        vertices = [{"id": i, "coset_labels": [f"x{i}", "y"]} for i in range(size)]
+        vertices[size * 7 // 10] = odd(vertices[size * 7 // 10])
+        outcomes = []
+        for check in (_vertex_ids, _vertex_ids_by_record):
+            try:
+                outcomes.append(check(vertices))
+            except InvalidInputError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], size
 
 
 @pytest.mark.parametrize("metadata", [[], 5, None, "x"], ids=["list", "int", "null", "str"])
