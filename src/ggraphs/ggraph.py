@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NotAGeneratingSetError, SizeLimitError
+from .errors import SizeLimitError
 from .multigraph import MULTIPLICITY_LIMIT, VERTEX_LIMIT, Multigraph
 
 # groups loads numpy, so it is imported inside the functions that use a group
@@ -103,21 +103,24 @@ def predicted_stats(g: GroupTable, s: GenSequence) -> PredictedStats:
 def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
     """Construct the coset graph of (g, s).
 
-    Accepts a validated GenSequence or raw element indices (validated here).
-    Edge multiplicities are found by mapping every group element to its coset
-    in each class: element x contributes one unit between coset_i(x) and
-    coset_j(x) for every class pair i < j.  The vertex count sum |G|/o(s_i)
-    is checked against VERTEX_LIMIT, and the edge multiplicity total
-    k(k-1)/2 * |G| against MULTIPLICITY_LIMIT, before any coset is enumerated.
+    Accepts a GenSequence validated against ``g`` or raw element indices; a
+    sequence validated against another group is validated again here.  Each
+    element x lies in one coset of every class, and a nonempty intersection
+    of <s_i>x and <s_j>y is a coset of <s_i> & <s_j>, so every edge between
+    classes i and j has multiplicity |<s_i> & <s_j>| (Bretto, Faisant and
+    Gillibert, J. Symbolic Comput. 42, 2007).  The edges between two classes
+    are the distinct pairs (coset_i(x), coset_j(x)), in first-seen order, and
+    each has multiplicity |G| divided by their number.  The vertex count sum
+    |G|/o(s_i) is checked against VERTEX_LIMIT, and the edge multiplicity
+    total k(k-1)/2 * |G| against MULTIPLICITY_LIMIT, before any coset is
+    enumerated.
     """
-    from .groups import GenSequence, make_gen_sequence, right_cosets
+    import numpy as np
 
-    if not isinstance(s, GenSequence):
-        s = make_gen_sequence(g, s)
-    else:
-        # fail fast if a stale sequence is replayed against another group
-        if any(not 0 <= x < g.order for x in s.positions):
-            raise NotAGeneratingSetError("sequence does not index this group")
+    from .groups import Coset, GenSequence, _coset_rows, make_gen_sequence
+
+    if not isinstance(s, GenSequence) or s.group is not g:
+        s = make_gen_sequence(g, s.positions if isinstance(s, GenSequence) else s)
     vertices = sum(g.order // o for o in s.orders)
     if vertices > VERTEX_LIMIT:
         raise SizeLimitError(f"vertex count {vertices} exceeds {VERTEX_LIMIT}")
@@ -127,27 +130,27 @@ def build_ggraph(g: GroupTable, s: GenSequence | list[int]) -> GGraph:
         raise SizeLimitError(f"edge multiplicity {units} exceeds {MULTIPLICITY_LIMIT}")
     partitions = []
     vertex_of = []  # per class: element -> the vertex id of its coset
+    start = 0
     for x in s.positions:
-        cosets = right_cosets(g, x)
-        where = [0] * g.order
-        for v, coset in enumerate(cosets, start=sum(map(len, partitions))):
-            for elem in coset.elements:
-                where[elem] = v
-        partitions.append(tuple(cosets))
-        vertex_of.append(where)
+        rows = _coset_rows(g, x)
+        where = np.empty(g.order, dtype=np.intp)
+        where[rows] = np.arange(start, start + len(rows))[:, None]
+        start += len(rows)
+        partitions.append(tuple(map(Coset, map(tuple, rows.tolist()))))
+        vertex_of.append(where.tolist())
 
-    mult: dict[tuple[int, int], int] = {}
+    edges = []
     for i in range(k):
         for j in range(i + 1, k):
-            for key in zip(vertex_of[i], vertex_of[j]):
-                mult[key] = mult.get(key, 0) + 1
-
-    edges = tuple(sorted((u, v, m) for (u, v), m in mult.items()))
+            pairs = dict.fromkeys(zip(vertex_of[i], vertex_of[j]))
+            m = g.order // len(pairs)
+            edges += [(u, v, m) for u, v in pairs]
+    edges.sort()
     return GGraph(
         k=k,
         group_order=g.order,
         gen_orders=s.orders,
         gen_labels=tuple(g.labels[x] for x in s.positions),
         partitions=tuple(partitions),
-        edges=edges,
+        edges=tuple(edges),
     )

@@ -15,6 +15,16 @@ on every triple up to order 64 and, above it, on 10^5 triples drawn with a
 fixed seed once per process.  It then derives every inverse as x^(|G|-1),
 checks the inverse law, and derives every element order.
 
+Left multiplication by s carries every element round its right coset <s>x,
+a cycle of o(s) elements.  Pointer doubling along x -> s*x gives, for every
+element at once, the least of any values over its coset in ceil(log2 o(s))
+whole-array gathers (:func:`_coset_minima`).  ``right_cosets`` and
+``build_ggraph`` read the cosets off a stable argsort of the elements'
+coset minima.  ``make_gen_sequence`` decides whether S generates G as
+whether its coset graph is connected, by hooking labels across the cosets
+of each generator and jumping pointers, over all |G| elements;
+``subgroup_closure`` lists <S> breadth first and touches only its elements.
+
 Permutation products use the function-composition convention: ``p * q``
 applies ``q`` first, then ``p``.  With right cosets ``<s>x = {s^j x}`` this
 reproduces the usual printed coset listings for symmetric groups.
@@ -26,6 +36,7 @@ import functools
 import math
 import operator
 import random
+import weakref
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,6 +83,7 @@ class GroupTable:
         "_rule",
         "_inv",
         "_label_index",
+        "__weakref__",
     )
 
     def __init__(
@@ -233,16 +245,23 @@ class GenSequence:
     """An ordered generating sequence; repeats are allowed.
 
     ``positions[i]`` is an element index and ``orders[i]`` its order, read
-    from ``GroupTable.orders``.
+    from ``GroupTable.orders``.  ``group`` is the group the sequence was
+    checked against, held by a weak reference so that a kept sequence does
+    not keep the group's table alive; it reads None once that group is gone.
     Each position labels one partition class of the coset graph, so the same
     element may legitimately appear twice.
     """
 
-    __slots__ = ("positions", "orders")
+    __slots__ = ("positions", "orders", "_group")
 
-    def __init__(self, positions: tuple[int, ...], orders: tuple[int, ...]):
+    def __init__(self, positions: tuple[int, ...], orders: tuple[int, ...], group: GroupTable):
         self.positions = positions
         self.orders = orders
+        self._group = weakref.ref(group)
+
+    @property
+    def group(self) -> Optional[GroupTable]:
+        return self._group()
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -784,18 +803,87 @@ def make_gen_sequence(g: GroupTable, elements: Sequence[int]) -> GenSequence:
     """Validate that ``elements`` generate ``g`` and read their orders from
     ``g.orders``.
 
-    Raises NotAGeneratingSetError when the closure of the elements and their
-    inverses is a proper subgroup.
+    The elements generate G iff their coset graph is connected (see
+    :func:`_generates`), which is decided over all |G| elements in
+    O(log o(s)) whole-array gathers per generator and round, never one round
+    per layer of the Cayley graph.  Raises NotAGeneratingSetError when the
+    elements generate a proper subgroup; :func:`subgroup_closure` lists that
+    subgroup.
     """
     positions = tuple(_integer(x, "element index") for x in elements)
     if len(positions) < 1:
         raise InvalidParameterError("generating sequence must be non-empty")
-    if len(subgroup_closure(g, positions)) != g.order:
+    _require_elements(g, positions)
+    if not _generates(g, positions):
         raise NotAGeneratingSetError(
             "elements do not generate the group: "
             + ", ".join(g.labels[x] for x in positions)
         )
-    return GenSequence(positions, tuple(g.orders[list(positions)].tolist()))
+    return GenSequence(positions, tuple(g.orders[list(positions)].tolist()), g)
+
+
+def _generates(g: GroupTable, positions: Sequence[int]) -> bool:
+    """Do the elements at ``positions`` generate ``g``?
+
+    They do iff every x is joined to the identity by steps x -> s*x, that
+    is, iff the right cosets <s>x of all the generators chain up into one
+    component.  Every element holds a label, at first itself, which stays in
+    its component and never exceeds it, and every label is its own label
+    (a root).  For each generator in turn, every root is hooked under the
+    least root of a coset <s>x that holds it, when that is smaller, and the
+    labels then jump to their labels' labels until none moves.  A round over
+    all generators that hooks nothing leaves every label constant on its
+    cosets, hence on its component, and the identity, element 0, is the
+    least element of its component.
+    """
+    walks = [_doubling(g, s) for s in dict.fromkeys(positions)]
+    label = np.arange(g.order)
+    while True:
+        moved = False
+        for walk in walks:
+            least = _coset_minima(walk, label)
+            hook = least < label
+            roots = label[hook]
+            if roots.size:
+                moved = True
+                # a root in several cosets takes one of their minima, each
+                # smaller than itself and in its component
+                label[roots] = least[hook]
+                jumped = label[label]
+                while not (jumped == label).all():
+                    label, jumped = jumped, jumped[jumped]
+        generates = bool((label == g.identity).all())
+        if generates or not moved:
+            return generates
+
+
+def _doubling(g: GroupTable, s: int) -> list[np.ndarray]:
+    """The maps x -> s^(2^j)*x for j = 0, 1, ... while 2^j < o(s), as index
+    arrays: the jumps of pointer doubling along x -> s*x."""
+    walk = [g.products(s, np.arange(g.order))]
+    while 2 ** len(walk) < g.orders[s]:
+        walk.append(walk[-1][walk[-1]])
+    return walk
+
+
+def _coset_minima(walk: list[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """For every x, the least of ``values`` over the right coset <s>x, given
+    the jumps ``walk`` of :func:`_doubling` for s.
+
+    After jump j, ``values[x]`` is the least over x, s*x, ..., s^(2^(j+1)-1)*x,
+    and the walk stops once that run covers the o(s) elements of the coset.
+    """
+    for step in walk:
+        values = np.minimum(values, values[step])
+    return values
+
+
+def _coset_rows(g: GroupTable, s: int) -> np.ndarray:
+    """The right cosets <s>x as the rows of a (|G|/o(s), o(s)) array, each row
+    ascending and the rows ordered by their minima: a stable argsort of every
+    element's coset minimum."""
+    minima = _coset_minima(_doubling(g, s), np.arange(g.order))
+    return np.argsort(minima, kind="stable").reshape(-1, g.orders[s])
 
 
 def _require_elements(g: GroupTable, elements: Iterable[int]) -> None:
@@ -856,27 +944,14 @@ def right_cosets(g: GroupTable, s: int) -> list[Coset]:
     """All right cosets <s>x, ordered by their minimum element index.
 
     The cosets partition the group; there are exactly |G|/o(s) of them, each
-    of size o(s).  The coset of x is the orbit x, sx, s^2 x, ... of left
-    multiplication by s.  Which class of a coset graph a coset belongs to is
-    the position of the partition that holds it, not stored on the coset.
+    of size o(s), with o(s) read from ``g.orders``.  The coset of x is the
+    orbit x, sx, s^2 x, ... of left multiplication by s; each element's least
+    coset member comes from ceil(log2 o(s)) rounds of pointer doubling along
+    it (:func:`_coset_rows`).  Which class of a coset graph a coset belongs to
+    is the position of the partition that holds it, not stored on the coset.
     """
     _require_elements(g, [s])
-    left = g.products(s, np.arange(g.order)).tolist()
-    seen = [False] * g.order
-    out = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        members = [x]
-        y = left[x]
-        while y != x:
-            members.append(y)
-            y = left[y]
-        members.sort()
-        for m in members:
-            seen[m] = True
-        out.append(Coset(tuple(members)))
-    return out
+    return list(map(Coset, map(tuple, _coset_rows(g, s).tolist())))
 
 
 def conjugacy_classes(

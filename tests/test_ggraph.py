@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 import fixture_catalog as cat
@@ -5,6 +7,8 @@ from ggraphs import (
     NotAGeneratingSetError,
     build_ggraph,
     make_cyclic,
+    make_direct_product,
+    make_gen_sequence,
     make_symmetric,
     predicted_stats,
 )
@@ -123,6 +127,38 @@ def test_non_generating_sequence_rejected():
     s4 = make_symmetric(4)
     with pytest.raises(NotAGeneratingSetError):
         build_ggraph(s4, [s4.index_of_label("(12)")])
+
+
+def _s4_sequence():
+    s4 = make_symmetric(4)
+    return make_gen_sequence(s4, [s4.index_of_label("(12)"), s4.index_of_label("(1234)")])
+
+
+@pytest.mark.parametrize("other", [
+    # the positions close to 4 of its 24 elements
+    lambda: make_direct_product(make_cyclic(2), make_cyclic(12)),
+    # the positions 6 and 9 close to <3>, 8 of its 24 elements
+    lambda: make_cyclic(24),
+], ids=["Z2xZ12", "Z24"])
+def test_sequence_of_another_group_is_checked_again(other):
+    with pytest.raises(NotAGeneratingSetError):
+        build_ggraph(other(), _s4_sequence())
+
+
+def test_sequence_of_an_equal_group_is_checked_again():
+    seq = _s4_sequence()
+    s4 = make_symmetric(4)
+    gg = build_ggraph(s4, seq)
+    assert gg.gen_orders == (2, 4)
+    assert gg.edges == build_ggraph(s4, list(seq.positions)).edges
+
+
+def test_sequence_does_not_keep_its_group_alive():
+    seq = _s4_sequence()
+    gc.collect()
+    assert seq.group is None
+    with pytest.raises(NotAGeneratingSetError):
+        build_ggraph(make_cyclic(24), seq)
 
 
 def test_rebuild_is_byte_identical():
